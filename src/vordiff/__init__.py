@@ -24,13 +24,13 @@ from .errors import (
 )
 from .forward import (
     ModelSpec,
-    ModeTrajectory,
     SolutionField,
     default_grading,
     evaluate,
     solve_forward,
     solve_mode,
     stability_ratio,
+    step_modes,
 )
 from .fracops import (
     OrderFunction,
@@ -38,7 +38,6 @@ from .fracops import (
     TimeMesh,
     caputo_order_sensitivity,
     caputo_vo,
-    eval_order,
     frac_integral_vo,
     l1_weights,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "InversionConfig",
     "InversionResult",
     "ModeExtraction",
-    "ModeTrajectory",
     "ModelSpec",
     "NumericalError",
     "ObservationSet",
@@ -94,7 +92,6 @@ __all__ = [
     "caputo_vo",
     "default_grading",
     "eigenpair",
-    "eval_order",
     "evaluate",
     "extract_modes",
     "frac_integral_vo",
@@ -108,6 +105,7 @@ __all__ = [
     "solve_forward",
     "solve_mode",
     "stability_ratio",
+    "step_modes",
     "synthesize",
     "synthesize_observations",
     "uniqueness_scan",

@@ -118,13 +118,8 @@ def write_observations_csv(path, obs: ObservationSet):
 
 def read_observations_csv(path) -> ObservationSet:
     _header, rows, comments = _data_lines(path)
-    xs, ts = [], []
-    for r in rows:
-        xv, tv = float(r[0]), float(r[1])
-        if xv not in xs:
-            xs.append(xv)
-        if tv not in ts:
-            ts.append(tv)
+    xs = list(dict.fromkeys(float(r[0]) for r in rows))
+    ts = list(dict.fromkeys(float(r[1]) for r in rows))
     values = np.empty((len(xs), len(ts)))
     xi = {v: i for i, v in enumerate(xs)}
     ti = {v: i for i, v in enumerate(ts)}

@@ -8,10 +8,12 @@ in the Dirichlet sine basis decouples it into one scalar problem per mode:
 
     u_i'(t) + k(t) D^{alpha(t)} u_i(t) = -lambda_i u_i(t),  u_i(0) = (u0, phi_i).
 
-Each mode is stepped with a first-order implicit scheme: backward
+Every mode follows the same first-order implicit scheme: backward
 difference for u', the L1 history sum for the Caputo term with the
 current-step weight moved to the implicit side, and k, alpha frozen at
-the new node.  Cost is O(M^2) per mode.
+the new node.  step_modes advances all modes together, so the weights and
+the order and k values are computed once per node, not once per mode.
+Cost is O(M^2) for the weights plus O(M^2) per mode for the history sums.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fracops import OrderFunction, SampledFunction, TimeMesh, l1_weights, polyval
+from .fracops import OrderFunction, TimeMesh, l1_diagonal_weights, l1_weights, polyval
 from .spectral import (
     SpectralBasis,
     SpectralCoefficients,
@@ -74,6 +76,12 @@ class ModelSpec:
     def k_at(self, t):
         return float(polyval(self.k_coeffs, t))
 
+    def node_values(self, mesh: TimeMesh):
+        """Order and k values at every mesh node, as two (M+1,) arrays."""
+        if self.alpha is None:
+            raise DomainError("model has no order function; supply one via with_alpha")
+        return self.alpha(mesh.nodes), polyval(self.k_coeffs, mesh.nodes)
+
     def with_alpha(self, alpha: OrderFunction) -> "ModelSpec":
         return replace(self, alpha=alpha)
 
@@ -87,109 +95,100 @@ class ModelSpec:
 
 
 @dataclass
-class ModeTrajectory:
-    """One spectral coefficient u_i(t_n) per mesh node."""
-
-    lam: float
-    u0i: float
-    mesh: TimeMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.mesh.M + 1,):
-            raise DomainError("trajectory must hold one value per mesh node")
-        if not np.all(np.isfinite(self.values)):
-            raise NumericalError("trajectory contains non-finite values")
-
-    def sampled(self) -> SampledFunction:
-        return SampledFunction(self.mesh, self.values)
-
-
-@dataclass
 class SolutionField:
-    """Truncated sine expansion of the space-time solution."""
+    """Truncated sine expansion of the space-time solution.
+
+    values holds the mode coefficients u_i(t_n) as an (N, M+1) array.
+    """
 
     basis: SpectralBasis
     mesh: TimeMesh
-    modes: list
+    values: np.ndarray
     tail_ratio: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        if len(self.modes) != self.basis.N:
-            raise DomainError("mode count must equal basis.N")
-        for m in self.modes:
-            if m.mesh is not self.mesh and not np.array_equal(
-                m.mesh.nodes, self.mesh.nodes
-            ):
-                raise DomainError("all trajectories must share the field's mesh")
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.basis.N, self.mesh.M + 1):
+            raise DomainError(
+                f"coefficient array shape {self.values.shape} does not match "
+                f"N = {self.basis.N} modes on {self.mesh.M + 1} nodes"
+            )
 
     def coeff_matrix(self) -> np.ndarray:
         """u_i(t_n) as an (N, M+1) array."""
-        return np.vstack([m.values for m in self.modes])
+        return self.values
 
     def coefficients_at(self, t_index: int) -> SpectralCoefficients:
-        return SpectralCoefficients(
-            np.asarray([m.values[t_index] for m in self.modes])
-        )
+        return SpectralCoefficients(self.values[:, t_index].copy())
 
     def initial_coefficients(self) -> SpectralCoefficients:
-        return SpectralCoefficients(np.asarray([m.u0i for m in self.modes]))
+        return self.coefficients_at(0)
 
 
-def solve_mode(lam: float, u0i: float, spec: ModelSpec, mesh: TimeMesh) -> ModeTrajectory:
+def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None) -> np.ndarray:
+    """Step u_i' + k(t) D^{alpha(t)} u_i = -lam_i u_i + f_i(t) for all modes.
+
+    a and k hold alpha(t_n) and k(t_n) at every node; lam and u0 hold one
+    eigenvalue and start value per mode; forcing, if given, holds f_i(t_n)
+    as an (N, M+1) array whose column 0 is not used.  At node t_n each
+    mode solves one scalar linear equation
+
+        u_n (1/h_n + k_n w_nn + lam) = u_{n-1} (1/h_n + k_n w_nn) - k_n H_n + f_n
+
+    with w the L1 weights at order a_n and H_n the explicit part of the
+    history sum.  For k >= 0, lam > 0 the step coefficient is strictly
+    positive, making the scheme unconditionally stable.  Returns u_i(t_n)
+    as an (N, M+1) array.
+
+    The history sum runs row by row, so a mode's trajectory is bitwise the
+    same whichever other modes share the call.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0.0):
+        raise DomainError(f"eigenvalue must be positive, got {lam[lam <= 0.0][0]}")
+    t = mesh.nodes
+    diag = 1.0 / mesh.spacing + k[1:] * l1_diagonal_weights(mesh, a)
+    denom = diag + lam[:, None]
+    ok = np.isfinite(denom) & (denom > 0.0)
+    if not ok.all():
+        n, i = np.argwhere(~ok.T)[0]
+        raise NumericalError(
+            f"non-invertible step coefficient {denom[i, n]:.6g} at node {n + 1} "
+            f"(t = {t[n + 1]:.6g}, k = {k[n + 1]:.6g}, lam = {lam[i]:.6g}, "
+            f"alpha = {a[n + 1]:.6g}); the scheme requires k >= 0 and lam > 0"
+        )
+    f = np.zeros((lam.size, mesh.M + 1)) if forcing is None else forcing
+    u = np.empty((lam.size, mesh.M + 1))
+    du = np.empty((lam.size, mesh.M))  # increments u_j - u_{j-1}
+    u[:, 0] = u0
+    for n in range(1, mesh.M + 1):
+        w = l1_weights(mesh, n, a[n])
+        hist = np.einsum("ij,j->i", du[:, : n - 1], w[: n - 1])
+        u[:, n] = (u[:, n - 1] * diag[n - 1] - k[n] * hist + f[:, n]) / denom[:, n - 1]
+        du[:, n - 1] = u[:, n] - u[:, n - 1]
+    if not np.all(np.isfinite(u)):
+        raise NumericalError("trajectory contains non-finite values")
+    return u
+
+
+def solve_mode(lam: float, u0i: float, spec: ModelSpec, mesh: TimeMesh) -> np.ndarray:
     """Step one mode ODE u' + k(t) D^{alpha(t)} u = -lam u through the mesh.
 
-    At node t_n the scheme solves one scalar linear equation
-
-        u_n (1/h_n + k_n w_nn + lam) = u_{n-1} (1/h_n + k_n w_nn) - k_n H_n
-
-    with w the L1 weights at order alpha(t_n) and H_n the explicit part of
-    the history sum.  For k >= 0, lam > 0 the step coefficient is strictly
-    positive, making the scheme unconditionally stable.
+    The one-mode case of step_modes; returns u(t_n) as an (M+1,) array.
     """
-    if lam <= 0.0:
-        raise DomainError(f"eigenvalue must be positive, got {lam}")
-    if spec.alpha is None:
-        raise DomainError("model has no order function; supply one via with_alpha")
-    t = mesh.nodes
-    h = mesh.spacing
-    u = np.empty(mesh.M + 1)
-    du = np.empty(mesh.M)  # increments u_j - u_{j-1}
-    u[0] = u0i
-    for n in range(1, mesh.M + 1):
-        a_n = spec.alpha(t[n])
-        k_n = spec.k_at(t[n])
-        w = l1_weights(mesh, n, a_n)
-        hist = float(w[: n - 1] @ du[: n - 1]) if n > 1 else 0.0
-        inv_h = 1.0 / h[n - 1]
-        denom = inv_h + k_n * w[n - 1] + lam
-        if not np.isfinite(denom) or denom <= 0.0:
-            raise NumericalError(
-                f"non-invertible step coefficient {denom:.6g} at node {n} "
-                f"(t = {t[n]:.6g}, k = {k_n:.6g}, lam = {lam:.6g}, "
-                f"alpha = {a_n:.6g}); the scheme requires k >= 0 and lam > 0"
-            )
-        u[n] = (u[n - 1] * (inv_h + k_n * w[n - 1]) - k_n * hist) / denom
-        du[n - 1] = u[n] - u[n - 1]
-    return ModeTrajectory(lam, u0i, mesh, u)
+    a, k = spec.node_values(mesh)
+    return step_modes(mesh, a, k, [lam], [u0i])[0]
 
 
 def solve_forward(spec: ModelSpec, mesh: TimeMesh, N: int) -> SolutionField:
-    """Analyze u0 into N modes, step each mode, assemble the field.
-
-    Modes are independent; they are solved in index order so results do
-    not depend on any execution schedule.
-    """
+    """Analyze u0 into N modes, step them together, assemble the field."""
     basis = spec.basis(N)
     c0 = spec.u0_coefficients(basis)
-    lam = basis.eigenvalues()
-    modes = [
-        solve_mode(float(lam[i]), float(c0.values[i]), spec, mesh) for i in range(N)
-    ]
+    a, k = spec.node_values(mesh)
+    u = step_modes(mesh, a, k, basis.eigenvalues(), c0.values)
     total = float(np.linalg.norm(c0.values))
     tail = abs(float(c0.values[-1])) / total if total > 0.0 else 0.0
-    return SolutionField(basis, mesh, modes, tail_ratio=tail)
+    return SolutionField(basis, mesh, u, tail_ratio=tail)
 
 
 def evaluate(field: SolutionField, x, t_index: int):

@@ -126,20 +126,19 @@ class OrderFunction:
         return self.coeffs[0]
 
     def __call__(self, t):
-        if t < 0.0 or t > self.T:
-            raise DomainError(f"t = {t} outside the order's domain [0, {self.T}]")
-        return float(polyval(self.coeffs, t))
+        """alpha(t) at a time t, or elementwise at an array of times."""
+        lo, hi = np.min(t), np.max(t)
+        if lo < 0.0 or hi > self.T:
+            bad = lo if lo < 0.0 else hi
+            raise DomainError(f"t = {bad} outside the order's domain [0, {self.T}]")
+        value = polyval(self.coeffs, t)
+        return float(value) if np.ndim(t) == 0 else value
 
     @classmethod
     def constant(cls, value, T, alpha_star=None):
         if alpha_star is None:
             alpha_star = max(value, 1e-12)
         return cls((float(value),), alpha_star, T)
-
-
-def eval_order(alpha: OrderFunction, t: float) -> float:
-    """Value of the order polynomial at t, guaranteed inside [0, alpha_star]."""
-    return alpha(t)
 
 
 @dataclass
@@ -179,6 +178,17 @@ def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
     t = mesh.nodes
     p = (t[n] - t[: n + 1]) ** (1.0 - alpha_n)  # p[n] = 0 exactly
     return (p[:-1] - p[1:]) / (gamma(2.0 - alpha_n) * mesh.spacing[:n])
+
+
+def l1_diagonal_weights(mesh: TimeMesh, a) -> np.ndarray:
+    """Current-step weights w_n of l1_weights(mesh, n, a[n]) for n = 1..M.
+
+    a holds the order at every node t_0..t_M.  w_n = h_n^(1-a) /
+    (Gamma(2-a) h_n), which is exactly 1 at a = 0.
+    """
+    a = np.asarray(a, dtype=float)[1:]
+    h = mesh.spacing
+    return h ** (1.0 - a) / (gamma(2.0 - a) * h)
 
 
 def frac_integral_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
@@ -240,25 +250,32 @@ def _log_kernel_moments(lo, hi, one_minus_a):
     return anti(lo) - anti(hi)
 
 
-def caputo_order_sensitivity(g: SampledFunction, alpha_value: float, n: int) -> float:
-    """Derivative of the Caputo value at node n with respect to the order.
+def order_sensitivity_weights(mesh: TimeMesh, n: int, alpha_value: float) -> np.ndarray:
+    """Weights s_j with sum_j s_j (g_j - g_{j-1}) / h_j the order-derivative
+    of the Caputo value at node n, for j = 1..n.
 
     Discretizes (1/Gamma(1-a)) * int_0^{t_n} (psi(1-a) - ln(t_n - s))
     g'(s) (t_n - s)^(-a) ds in the same L1 style as caputo_vo, with
-    psi the digamma function.  Because the L1 weights depend on the order
-    only through a = alpha(t_n), this is the exact order-derivative of
-    the discrete operator, not merely a consistent approximation.
+    psi the digamma function and a = alpha_value.  Because the L1 weights
+    depend on the order only through a = alpha(t_n), this is the exact
+    order-derivative of the discrete operator, not merely a consistent
+    approximation.  The weights do not depend on g, so one vector serves
+    every function sampled on the mesh.
     """
-    _check_node(g.mesh, n)
+    _check_node(mesh, n)
     if not 0.0 <= alpha_value < 1.0:
         raise DomainError(f"order value {alpha_value} outside [0, 1)")
-    a = alpha_value
-    oma = 1.0 - a
-    t = g.mesh.nodes
+    oma = 1.0 - alpha_value
+    t = mesh.nodes
     lo = t[n] - t[:n]
     hi = t[n] - t[1 : n + 1]
     m0 = (lo**oma - hi**oma) / oma
     mlog = _log_kernel_moments(lo, hi, oma)
+    return (digamma(oma) * m0 - mlog) / gamma(oma)
+
+
+def caputo_order_sensitivity(g: SampledFunction, alpha_value: float, n: int) -> float:
+    """Derivative of the Caputo value of g at node n with respect to the order."""
+    weights = order_sensitivity_weights(g.mesh, n, alpha_value)
     slope = np.diff(g.values[: n + 1]) / g.mesh.spacing[:n]
-    psi = digamma(oma)
-    return float(slope @ (psi * m0 - mlog) / gamma(oma))
+    return float(slope @ weights)

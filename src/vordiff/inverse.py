@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IllPosedExtractionError
-from .fracops import OrderFunction, TimeMesh, caputo_order_sensitivity, l1_weights
-from .forward import ModelSpec, default_grading, solve_forward
+from .fracops import OrderFunction, TimeMesh, order_sensitivity_weights
+from .forward import ModelSpec, default_grading, solve_forward, step_modes
 from .spectral import SpectralBasis
 
 CONDITION_LIMIT = 1e8
@@ -226,56 +226,35 @@ def residual(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
     return (pred - obs.values).ravel()
 
 
-def _mode_order_sensitivities(traj, spec, mesh, powers):
-    """d u(t_n) / d c_q for each monomial coefficient, by forward recurrence.
+def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: InversionConfig):
+    """Derivative of the stacked residual with respect to each coefficient.
 
     Differentiating the implicit step with respect to the order value and
-    chaining d alpha(t_n)/d c_q = t_n^q gives
-
-        v_n (1/h + k w_nn + lam) = v_{n-1} (1/h + k w_nn)
-                                   - k sum_{j<n} w_j (v_j - v_{j-1})
-                                   - k t_n^q S_n,
-
-    with S_n the exact order-derivative of the discrete Caputo value of
-    the already-computed trajectory.
+    chaining d alpha(t_n)/d c_q = t_n^q gives, for v = d u_i / d c_q, the
+    recurrence of u_i itself with v_0 = 0 and the forcing -k_n t_n^q S_n,
+    where S_n is the exact order-derivative of the discrete Caputo value of
+    the already-computed trajectory u_i.  All (coefficient, mode) pairs are
+    stepped in one step_modes call.
     """
-    t = mesh.nodes
-    h = mesh.spacing
-    g = traj.sampled()
-    q = np.asarray(powers, dtype=float)
-    v = np.zeros((q.size, mesh.M + 1))
-    dv = np.zeros((q.size, mesh.M))
-    for n in range(1, mesh.M + 1):
-        a_n = spec.alpha(t[n])
-        k_n = spec.k_at(t[n])
-        w = l1_weights(mesh, n, a_n)
-        s_n = caputo_order_sensitivity(g, a_n, n)
-        hist = dv[:, : n - 1] @ w[: n - 1] if n > 1 else 0.0
-        t_pow = t[n] ** q
-        inv_h = 1.0 / h[n - 1]
-        denom = inv_h + k_n * w[n - 1] + traj.lam
-        v[:, n] = (
-            v[:, n - 1] * (inv_h + k_n * w[n - 1]) - k_n * hist - k_n * t_pow * s_n
-        ) / denom
-        dv[:, n - 1] = v[:, n] - v[:, n - 1]
-    return v
-
-
-def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: InversionConfig):
-    """Derivative of the stacked residual with respect to each coefficient."""
     cand = _candidate_order(alpha_coeffs, model.T, config.alpha_star)
     mesh = _inversion_mesh(obs)
     spec = model.with_alpha(cand)
     fld = solve_forward(spec, mesh, config.n_modes)
+    a, k = spec.node_values(mesh)
+    u = fld.coeff_matrix()
+    slope = np.diff(u, axis=1) / mesh.spacing
+    sens = np.zeros_like(u)
+    for n in range(1, mesh.M + 1):
+        sens[:, n] = slope[:, :n] @ order_sensitivity_weights(mesh, n, a[n])
+    n_coeffs = len(alpha_coeffs)
+    t_pow = mesh.nodes ** np.arange(n_coeffs)[:, None]
+    forcing = -(k * t_pow)[:, None, :] * sens
+    lam = np.tile(fld.basis.eigenvalues(), n_coeffs)
+    v = step_modes(mesh, a, k, lam, np.zeros(lam.size), forcing.reshape(lam.size, -1))
+    v = v.reshape(n_coeffs, config.n_modes, -1)
     phi = fld.basis.design_matrix(obs.x_points)
-    powers = np.arange(len(alpha_coeffs))
-    n_obs = obs.x_points.size * obs.t_points.size
-    J = np.zeros((n_obs, len(alpha_coeffs)))
-    for i, traj in enumerate(fld.modes):
-        v = _mode_order_sensitivities(traj, spec, mesh, powers)
-        # residual rows are x-major: row (j, m) = j * n_t + m
-        J += np.einsum("j,qm->jmq", phi[:, i], v[:, 1:]).reshape(n_obs, -1)
-    return J
+    # residual rows are x-major: row (j, m) = j * n_t + m
+    return np.einsum("ji,qim->jmq", phi, v[:, :, 1:]).reshape(-1, n_coeffs)
 
 
 def _project_admissible(coeffs, T, alpha_star):

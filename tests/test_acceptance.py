@@ -148,16 +148,16 @@ def test_criterion_4_forward_heat_limit():
         # basis K = 1, L = pi gives lam_i = i^2; the first mode is checked
         # along the whole trajectory, decayed higher modes at the endpoint
         traj1 = solve_mode(1.0, 1.0, heat, mesh)
-        assert np.abs(traj1.values - np.exp(-mesh.nodes)).max() <= 1e-4
+        assert np.abs(traj1 - np.exp(-mesh.nodes)).max() <= 1e-4
         for i in (2, 3, 4):
             lam = float(i * i)
             traj = solve_mode(lam, 1.0, heat, mesh)
-            assert abs(traj.values[-1] - np.exp(-lam)) <= 1e-4
+            assert abs(traj[-1] - np.exp(-lam)) <= 1e-4
         # alpha = 0 closed form: u = u0 (k + lam e^{-(lam+k)t})/(lam+k)
         ident = mode_spec(OrderFunction((0.0,), 0.5, T), k=1.0)
         traj = solve_mode(1.0, 1.0, ident, mesh)
         exact = (1.0 + np.exp(-2.0 * mesh.nodes)) / 2.0
-        assert np.abs(traj.values - exact).max() <= 1e-4
+        assert np.abs(traj - exact).max() <= 1e-4
 
 
 def test_criterion_5_self_convergence():
@@ -174,9 +174,9 @@ def test_criterion_5_self_convergence():
             ref = solve_mode(1.0, 1.0, spec, TimeMesh(T, 16384, r))
             if coeffs == (0.5,):
                 # frozen regression oracle for this reference run (M = 16384, r = 4)
-                assert ref.values[-1] == pytest.approx(0.5932503284447019, abs=1e-12)
+                assert ref[-1] == pytest.approx(0.5932503284447019, abs=1e-12)
             errs = [
-                abs(solve_mode(1.0, 1.0, spec, TimeMesh(T, M, r)).values[-1] - ref.values[-1])
+                abs(solve_mode(1.0, 1.0, spec, TimeMesh(T, M, r))[-1] - ref[-1])
                 for M in (128, 256, 512)
             ]
             ratios = [errs[0] / errs[1], errs[1] / errs[2]]

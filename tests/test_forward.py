@@ -46,8 +46,8 @@ class TestSolveMode:
         spec = spec_with(OrderFunction((0.5,), 0.9, 1.0), k=0.0)
         mesh = TimeMesh(1.0, 2048, 1.0)
         traj = solve_mode(1.0, 1.0, spec, mesh)
-        assert traj.values[-1] == pytest.approx(np.exp(-1.0), abs=1e-4)
-        assert np.abs(traj.values - np.exp(-mesh.nodes)).max() <= 1e-4
+        assert traj[-1] == pytest.approx(np.exp(-1.0), abs=1e-4)
+        assert np.abs(traj - np.exp(-mesh.nodes)).max() <= 1e-4
 
     def test_identity_limit_closed_form(self):
         # alpha = 0 collapses the memory term: u' = -(lam + k) u + k u0,
@@ -56,21 +56,21 @@ class TestSolveMode:
         mesh = TimeMesh(1.0, 2048, 1.0)
         traj = solve_mode(1.0, 1.0, spec, mesh)
         exact = (1.0 + np.exp(-2.0 * mesh.nodes)) / 2.0
-        assert traj.values[-1] == pytest.approx((1.0 + np.exp(-2.0)) / 2.0, abs=1e-4)
-        assert np.abs(traj.values - exact).max() <= 1e-4
+        assert traj[-1] == pytest.approx((1.0 + np.exp(-2.0)) / 2.0, abs=1e-4)
+        assert np.abs(traj - exact).max() <= 1e-4
 
     def test_fine_mesh_regression_value(self):
         spec = spec_with(OrderFunction((0.5,), 0.9, 1.0))
         M, r = REFERENCE_MODE_MESH
         coarse = solve_mode(1.0, 1.0, spec, TimeMesh(1.0, 2048, r))
-        assert coarse.values[-1] == pytest.approx(REFERENCE_MODE_VALUE, abs=2e-4)
+        assert coarse[-1] == pytest.approx(REFERENCE_MODE_VALUE, abs=2e-4)
 
     def test_discrete_decay(self):
         for coeffs in ((0.0, 0.4), (0.3,), (0.5,), (0.8,)):
             spec = spec_with(OrderFunction(coeffs, 0.9, 1.0), k=2.0)
             for r in (1.0, 2.0, 4.0):
                 traj = solve_mode(3.0, -2.0, spec, TimeMesh(1.0, 256, r))
-                assert np.all(np.abs(traj.values) <= abs(traj.u0i) * (1 + 1e-14))
+                assert np.all(np.abs(traj) <= abs(traj[0]) * (1 + 1e-14))
 
     def test_requires_positive_eigenvalue(self):
         spec = spec_with(OrderFunction((0.5,), 0.9, 1.0))
@@ -112,13 +112,17 @@ class TestSolveForward:
 
     def test_mode_decoupling_bitwise(self):
         spec = spec_with(OrderFunction((0.3, 0.2), 0.95, 1.0), u0=PARABOLA)
-        mesh = TimeMesh(1.0, 64, 2.0)
-        field = solve_forward(spec, mesh, 4)
-        basis = spec.basis(4)
-        c0 = spec.u0_coefficients(basis)
-        for i in range(4):
-            solo = solve_mode(float(basis.eigenvalues()[i]), float(c0.values[i]), spec, mesh)
-            assert np.array_equal(solo.values, field.modes[i].values)
+        meshes = (TimeMesh(1.0, 64, 2.0), TimeMesh(1.0, 300, default_grading(0.3)))
+        for mesh in meshes:
+            for N in (1, 4, 9):
+                field = solve_forward(spec, mesh, N)
+                basis = spec.basis(N)
+                c0 = spec.u0_coefficients(basis)
+                for i in range(N):
+                    solo = solve_mode(
+                        float(basis.eigenvalues()[i]), float(c0.values[i]), spec, mesh
+                    )
+                    assert np.array_equal(solo, field.coeff_matrix()[i])
 
     def test_repeat_run_bitwise_identical(self):
         spec = spec_with(OrderFunction((0.3, 0.2), 0.95, 1.0), u0=PARABOLA)
@@ -135,7 +139,7 @@ class TestEvaluate:
         field = solve_forward(spec, mesh, 6)
         x = 1.1
         direct = sum(
-            field.modes[i].values[30] * np.sqrt(2 / L) * np.sin((i + 1) * x)
+            field.coeff_matrix()[i][30] * np.sqrt(2 / L) * np.sin((i + 1) * x)
             for i in range(6)
         )
         assert evaluate(field, x, 30) == pytest.approx(direct, rel=1e-12)
@@ -158,7 +162,7 @@ class TestStabilityRatio:
         spec = spec_with(OrderFunction((0.5,), 0.9, 1.0))
         field = solve_forward(spec, TimeMesh(1.0, 128, 1.0), 3)
         ratio = stability_ratio(field, field.initial_coefficients(), 1.5)
-        u1 = field.modes[0].values
+        u1 = field.coeff_matrix()[0]
         assert ratio == pytest.approx(np.abs(u1).max() / abs(u1[0]), rel=1e-10)
 
     def test_full_model_monitored_value(self):

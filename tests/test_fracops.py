@@ -13,7 +13,6 @@ from vordiff import (
     TimeMesh,
     caputo_order_sensitivity,
     caputo_vo,
-    eval_order,
     frac_integral_vo,
 )
 
@@ -61,7 +60,7 @@ class TestTimeMesh:
 class TestOrderFunction:
     def test_eval_examples(self):
         T = 2.0
-        assert eval_order(OrderFunction((0.5,), 0.9, T), 0.3) == 0.5
+        assert OrderFunction((0.5,), 0.9, T)(0.3) == 0.5
         lin = OrderFunction((0.3, 0.2 / T), 0.5, T)
         assert lin(T) == pytest.approx(0.5, abs=1e-15)
         through_zero = OrderFunction((0.0, 0.5 / T), 0.5, T)

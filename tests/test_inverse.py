@@ -166,7 +166,32 @@ class TestResidual:
             assert np.linalg.norm(residual(cand, obs, model, InversionConfig())) == 0.0
 
 
+# frozen from the per-mode sensitivity recurrence: jacobian((0.45, 0.1), ...)
+# on twin_observations((0.3, 0.2), t_count=64) with degree 1 and 8 modes
+REFERENCE_JACOBIAN_ENTRIES = {
+    (0, 0): 2.4209094774834033e-07,
+    (0, 1): 1.6728782675151729e-12,
+    (100, 0): 0.1448234769214897,
+    (100, 1): 0.016974678502696544,
+    (517, 0): 0.00030770030714927547,
+    (517, 1): 2.6037178452910565e-07,
+    (1023, 0): 0.043070470732328774,
+    (1023, 1): -0.023085272888647798,
+}
+REFERENCE_JACOBIAN_COLUMN_NORMS = (3.9815907447496097, 0.7717478338746305)
+
+
 class TestJacobian:
+    def test_frozen_oracle(self):
+        obs = twin_observations((0.3, 0.2), t_count=64)
+        cfg = InversionConfig(degree=1, n_modes=8)
+        J = jacobian((0.45, 0.1), obs, template(), cfg)
+        assert J.shape == (1024, 2)
+        for idx, value in REFERENCE_JACOBIAN_ENTRIES.items():
+            assert J[idx] == pytest.approx(value, abs=1e-12)
+        for q, norm in enumerate(REFERENCE_JACOBIAN_COLUMN_NORMS):
+            assert np.linalg.norm(J[:, q]) == pytest.approx(norm, abs=1e-12)
+
     def test_matches_finite_differences(self):
         obs = twin_observations((0.3, 0.2), t_count=64)
         cfg = InversionConfig(degree=1, n_modes=8)
@@ -185,13 +210,13 @@ class TestJacobian:
     def test_sensitivity_sign_structure(self):
         # dominant mode starts positive and decays; for small t the order
         # sensitivity of its Caputo value is negative (log kernel dominates)
-        from vordiff import caputo_order_sensitivity
+        from vordiff import SampledFunction, caputo_order_sensitivity
 
         model = template().with_alpha(OrderFunction((0.3,), 0.95, 1.0))
         field = solve_forward(model, TimeMesh(1.0, 256, 2.0), 4)
-        traj = field.modes[0]
-        assert traj.u0i > 0
-        g = traj.sampled()
+        traj = field.coeff_matrix()[0]
+        assert traj[0] > 0
+        g = SampledFunction(field.mesh, traj)
         for n in (1, 4, 16):
             t_n = field.mesh.nodes[n]
             assert t_n < 0.05
