@@ -83,7 +83,6 @@ _SCHEMA = {
     "inversion.max_iter": ("inv_max_iter", _parse_int, _fmt_int, False, 30),
     "inversion.gn_tolerance": ("inv_gn_tolerance", _parse_float, _fmt_float, False, 1e-8),
     "inversion.tikhonov": ("inv_tikhonov", _parse_float, _fmt_float, False, 0.0),
-    "inversion.modes_used": ("inv_modes_used", _parse_int, _fmt_int, False, None),
     "inversion.init": ("inv_init", _parse_float_list, _fmt_float_list, False, (0.5,)),
     "diagnostics.gamma": ("diag_gamma", _parse_float, _fmt_float, False, 0.0),
     "diagnostics.fit_lo": ("diag_fit_lo", _parse_float, _fmt_float, False, None),
@@ -118,7 +117,6 @@ class RunConfig:
     inv_max_iter: int
     inv_gn_tolerance: float
     inv_tikhonov: float
-    inv_modes_used: int
     inv_init: tuple
     diag_gamma: float
     diag_fit_lo: float
@@ -188,8 +186,6 @@ class RunConfig:
             self.obs_a = 0.2 * self.L
         if self.obs_b is None:
             self.obs_b = 0.8 * self.L
-        if self.inv_modes_used is None:
-            self.inv_modes_used = self.basis_N
         if self.diag_fit_lo is None:
             self.diag_fit_lo = self.T * 1e-3
         if self.diag_fit_hi is None:
@@ -219,12 +215,6 @@ class RunConfig:
         if not 0.0 <= self.noise_level <= 0.1:
             raise ConfigError(
                 f"observation.noise_level {self.noise_level} outside [0, 0.1]", path
-            )
-        if self.inv_modes_used > self.basis_N:
-            raise ConfigError(
-                f"inversion.modes_used {self.inv_modes_used} exceeds basis.N "
-                f"{self.basis_N}",
-                path,
             )
         if self.u0.startswith("mode"):
             try:
@@ -292,6 +282,5 @@ class RunConfig:
             tikhonov=self.inv_tikhonov,
             alpha_star=self.alpha_star,
             n_modes=self.basis_N,
-            modes_used=self.inv_modes_used,
             init_coeffs=self.inv_init,
         )

@@ -25,12 +25,54 @@ from scipy.special import digamma, gamma
 from .errors import DomainError, SingularOrderError
 
 MAX_ORDER_DEGREE = 6
-ADMISSIBILITY_SAMPLES = 1001
 
 
 def polyval(coeffs, t):
     """Evaluate sum_j coeffs[j] * t**j for scalar or array t."""
     return np.polynomial.polynomial.polyval(t, np.asarray(coeffs, dtype=float))
+
+
+def order_range(coeffs, T):
+    """Exact minimum and maximum of sum_j coeffs[j] t**j over [0, T].
+
+    The extremes lie at t = 0, t = T or a critical point, so the values
+    there and at the real parts of the derivative's roots, clipped to
+    [0, T], are compared.  Roots are found in s = t / T after trailing
+    derivative terms below machine epsilon times the largest are dropped:
+    on [0, 1] they change the derivative only at rounding level, and a
+    near-zero leading term would overflow the companion matrix.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise DomainError(f"order coefficients must be finite, got {c.tolist()}")
+    j = np.arange(1, c.size)
+    slope = j * c[1:] * T**j  # derivative coefficients in s = t / T
+    size = np.abs(slope)
+    big = np.flatnonzero(size > np.finfo(float).eps * size.max(initial=0.0))
+    s = np.polynomial.polynomial.polyroots(slope[: big[-1] + 1]) if big.size else []
+    vals = polyval(c, np.concatenate(([0.0, T], T * np.clip(np.real(s), 0.0, 1.0))))
+    return float(vals.min()), float(vals.max())
+
+
+def project_admissible(coeffs, T, alpha_star):
+    """Map coefficients to an order with values in [0, alpha_star] on [0, T].
+
+    Until order_range passes: if the range is wider than alpha_star, the
+    non-constant part is shrunk to a range of 0.999 alpha_star; otherwise
+    the constant term is shifted into the box.  One pass can land a
+    rounding error outside, and a range that fitted at a large constant
+    term can overshoot near zero, so both steps repeat.  The result always
+    constructs an OrderFunction; admissible input is returned as is.
+    """
+    c = np.array(coeffs, dtype=float)
+    lo, hi = order_range(c, T)
+    while lo < 0.0 or hi > alpha_star:
+        if hi - lo > alpha_star:
+            c[1:] *= 0.999 * alpha_star / (hi - lo)
+        else:
+            c[0] += -lo if lo < 0.0 else alpha_star - hi
+        lo, hi = order_range(c, T)
+    return c
 
 
 @dataclass
@@ -80,7 +122,7 @@ class OrderFunction:
     """Polynomial variable order alpha(t) = sum_j coeffs[j] t**j on [0, T].
 
     Admissibility (0 <= alpha(t) <= alpha_star < 1) is enforced at
-    construction by dense sampling plus endpoint evaluation.  Polynomials
+    construction on the exact order_range over [0, T].  Polynomials
     are the analytic subclass this library supports; the vanishing of
     (alpha(t) - alpha(0)) ln t as t -> 0 is automatic for them.
     """
@@ -105,10 +147,7 @@ class OrderFunction:
             )
         if self.T <= 0.0:
             raise DomainError(f"order horizon T must be positive, got {self.T}")
-        ts = np.linspace(0.0, self.T, ADMISSIBILITY_SAMPLES)
-        vals = polyval(self.coeffs, ts)
-        lo = min(float(vals.min()), float(polyval(self.coeffs, 0.0)))
-        hi = max(float(vals.max()), float(polyval(self.coeffs, self.T)))
+        lo, hi = order_range(self.coeffs, self.T)
         if lo < 0.0 or hi > self.alpha_star:
             raise DomainError(
                 f"order values span [{lo:.6g}, {hi:.6g}] on [0, {self.T}], "

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IllPosedExtractionError
-from .fracops import OrderFunction, TimeMesh, order_sensitivity_weights
+from .fracops import OrderFunction, TimeMesh, order_sensitivity_weights, project_admissible
 from .forward import ModelSpec, default_grading, solve_forward, step_modes
 from .spectral import SpectralBasis
 
 CONDITION_LIMIT = 1e8
 MAX_NOISE_LEVEL = 0.1
-ADMISSIBILITY_GRID = 512
+STEP_HALVINGS = 20
 
 
 @dataclass
@@ -78,9 +78,7 @@ class InversionConfig:
     tikhonov: float = 0.0
     alpha_star: float = 0.95
     n_modes: int = 8
-    modes_used: int | None = None
     init_coeffs: tuple | None = None
-    step_halvings: int = 20
 
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:
@@ -208,17 +206,13 @@ def _inversion_mesh(obs: ObservationSet) -> TimeMesh:
     return TimeMesh.from_nodes(np.concatenate(([0.0], obs.t_points)))
 
 
-def _candidate_order(coeffs, T, alpha_star) -> OrderFunction:
-    return OrderFunction(tuple(coeffs), alpha_star, T)
-
-
 def residual(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: InversionConfig):
     """Stacked misfit u_candidate(x_j, t_m) - obs values, x-major order.
 
     The candidate forward solve runs on the mesh spanned by the observation
     times (plus t = 0), independent of how the data was generated.
     """
-    cand = _candidate_order(alpha_coeffs, model.T, config.alpha_star)
+    cand = OrderFunction(alpha_coeffs, config.alpha_star, model.T)
     mesh = _inversion_mesh(obs)
     fld = solve_forward(model.with_alpha(cand), mesh, config.n_modes)
     phi = fld.basis.design_matrix(obs.x_points)
@@ -236,7 +230,7 @@ def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
     the already-computed trajectory u_i.  All (coefficient, mode) pairs are
     stepped in one step_modes call.
     """
-    cand = _candidate_order(alpha_coeffs, model.T, config.alpha_star)
+    cand = OrderFunction(alpha_coeffs, config.alpha_star, model.T)
     mesh = _inversion_mesh(obs)
     spec = model.with_alpha(cand)
     fld = solve_forward(spec, mesh, config.n_modes)
@@ -257,36 +251,13 @@ def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
     return np.einsum("ji,qim->jmq", phi, v[:, :, 1:]).reshape(-1, n_coeffs)
 
 
-def _project_admissible(coeffs, T, alpha_star):
-    """Map coefficients to an order satisfying the [0, alpha_star] bounds.
-
-    Checked on a dense t sample: first shrink the non-constant part if the
-    value range is too wide to fit, then shift the constant term into the
-    box.  Identity on already-admissible candidates.
-    """
-    c = np.asarray(coeffs, dtype=float).copy()
-    ts = np.linspace(0.0, T, ADMISSIBILITY_GRID)
-    vand = ts[:, None] ** np.arange(c.size)
-    vals = vand @ c
-    span = vals.max() - vals.min()
-    if span > alpha_star and c.size > 1:
-        c[1:] *= 0.999 * alpha_star / span
-        vals = vand @ c
-    shift = 0.0
-    if vals.min() < 0.0:
-        shift = -vals.min()
-    elif vals.max() > alpha_star:
-        shift = alpha_star - vals.max()
-    c[0] += shift
-    return c
-
-
 def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig) -> InversionResult:
     """Projected Gauss-Newton over the polynomial order coefficients.
 
     Minimizes |residual|^2 + tikhonov |c - c_prior|^2 from a constant-0.5
     start (unless configured), halving steps that do not decrease the
-    objective and projecting every iterate into the admissible bounds.
+    objective and projecting every iterate into the admissible bounds
+    with project_admissible, the exact check that OrderFunction applies.
     Requires a nonzero initial datum and k(0) != 0, without which the data
     does not determine the order.
     """
@@ -310,7 +281,7 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
         c[: init.size] = init
     else:
         c[0] = 0.5
-    c = _project_admissible(c, model.T, config.alpha_star)
+    c = project_admissible(c, model.T, config.alpha_star)
     prior = c.copy()
     mu = config.tikhonov
 
@@ -332,8 +303,8 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
             delta = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
         step = 1.0
         accepted = False
-        for _ in range(config.step_halvings):
-            cand = _project_admissible(c + step * delta, model.T, config.alpha_star)
+        for _ in range(STEP_HALVINGS):
+            cand = project_admissible(c + step * delta, model.T, config.alpha_star)
             cand_res = residual(cand, obs, model, config)
             cand_obj = objective(cand, cand_res)
             if cand_obj <= obj:

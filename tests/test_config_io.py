@@ -34,7 +34,6 @@ class TestConfigParsing:
         assert cfg.mesh_r == pytest.approx(2.0 / 0.7)  # grading from alpha(0)
         assert cfg.obs_a == pytest.approx(0.2 * cfg.L)
         assert cfg.obs_b == pytest.approx(0.8 * cfg.L)
-        assert cfg.inv_modes_used == 4
         assert cfg.diag_fit_lo == pytest.approx(1e-3)
         assert len(cfg.scan_c0_grid) == 17
 

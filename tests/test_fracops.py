@@ -15,6 +15,7 @@ from vordiff import (
     caputo_vo,
     frac_integral_vo,
 )
+from vordiff.fracops import project_admissible
 
 
 def sampled(mesh, fn):
@@ -81,6 +82,12 @@ class TestOrderFunction:
             OrderFunction((0.1, -1.0, 1.0), 0.9, 1.0)
         with pytest.raises(DomainError):
             OrderFunction((0.97,), 0.95, 1.0)
+        # dips below zero only near its critical point: alpha(0.0005) = -1e-9
+        with pytest.raises(DomainError, match="alpha_star"):
+            OrderFunction((2.24e-07, -0.0009, 0.9), 0.95, 1.0)
+        for bad in ((float("nan"),), (0.3, float("inf"))):
+            with pytest.raises(DomainError, match="finite"):
+                OrderFunction(bad, 0.95, 1.0)
 
     def test_degree_cap(self):
         with pytest.raises(DomainError, match="degree"):
@@ -92,6 +99,32 @@ class TestOrderFunction:
         alpha = OrderFunction((c0, c1), 0.95, 1.0)
         for t in np.linspace(0.0, 1.0, 37):
             assert 0.0 <= alpha(t) <= 0.95
+
+
+class TestProjectAdmissible:
+    @pytest.mark.parametrize(
+        "coeffs, T, alpha_star",
+        [
+            # projections on a sample grid left these 5.6e-17 and 2.6e-7 below zero
+            ((-0.5, -0.46), 1.0, 0.95),
+            ((-1.01, -0.21, -0.16, 0.54, 0.21), 1.0, 0.95),
+            # the range fits at c0 = 1 but overshoots once shifted to c0 = 0
+            ((1.0, 0.0, 0.01), 0.01, 1e-6),
+        ],
+    )
+    def test_projection_constructible(self, coeffs, T, alpha_star):
+        OrderFunction(project_admissible(coeffs, T, alpha_star), alpha_star, T)
+
+    @given(
+        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7),
+        T=st.floats(0.1, 10.0),
+        alpha_star=st.floats(0.05, 0.99),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_constructible_and_idempotent(self, coeffs, T, alpha_star):
+        projected = project_admissible(coeffs, T, alpha_star)
+        OrderFunction(projected, alpha_star, T)
+        assert np.array_equal(project_admissible(projected, T, alpha_star), projected)
 
 
 # -- fractional integral -----------------------------------------------
