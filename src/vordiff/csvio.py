@@ -53,10 +53,12 @@ def _data_lines(path):
 def write_solution_csv(path, field, x_points):
     x = np.asarray(x_points, dtype=float)
     vals = field.basis.design_matrix(x) @ field.coeff_matrix()
+    xs = [fmt(v) for v in x]
     lines = ["t,x,u"]
     for n, t in enumerate(field.mesh.nodes):
-        for j, xv in enumerate(x):
-            lines.append(f"{fmt(t)},{fmt(xv)},{fmt(vals[j, n])}")
+        tn = fmt(t)
+        # tolist() gives Python floats, whose repr is fmt's
+        lines += [f"{tn},{xv},{u!r}" for xv, u in zip(xs, vals[:, n].tolist())]
     _write_lines(path, lines)
 
 
@@ -72,8 +74,8 @@ def write_modes_csv(path, field):
     lines = ["t,i,u_i"]
     U = field.coeff_matrix()
     for n, t in enumerate(field.mesh.nodes):
-        for i in range(field.basis.N):
-            lines.append(f"{fmt(t)},{i + 1},{fmt(U[i, n])}")
+        tn = fmt(t)
+        lines += [f"{tn},{i},{u!r}" for i, u in enumerate(U[:, n].tolist(), 1)]
     _write_lines(path, lines)
 
 

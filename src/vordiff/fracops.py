@@ -25,6 +25,7 @@ from scipy.special import digamma, gamma
 from .errors import DomainError, SingularOrderError
 
 MAX_ORDER_DEGREE = 6
+SENSITIVITY_BLOCK = 64  # nodes per weight block in order_sensitivities
 
 
 def polyval(coeffs, t):
@@ -270,23 +271,27 @@ def caputo_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
     return float(w @ np.diff(g.values[: n + 1]))
 
 
-def _log_kernel_moments(lo, hi, one_minus_a):
-    """Exact values of int ln(tau) tau^(-a) dtau over [hi_j, lo_j] per interval.
+def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
+    """Rows r of order_sensitivity_weights(mesh, n[r], a[r]) in one array.
 
-    Antiderivative tau^(1-a) (ln tau / (1-a) - 1/(1-a)^2); its limit at
-    tau = 0 is 0 since 1 - a > 0.
+    Row r holds the weights s_1..s_{n[r]} followed by zeros up to the
+    largest node index in n.  The log-kernel moment uses the antiderivative
+    tau^(1-a) (ln tau / (1-a) - 1/(1-a)^2) of ln(tau) tau^(-a), whose limit
+    at tau = 0 is 0 since 1 - a > 0; the kernel values at tau = t_n - t_j
+    are shared by the intervals on either side of t_j.
     """
-
-    def anti(tau):
-        out = np.zeros_like(tau)
-        pos = tau > 0.0
-        lt = np.log(tau[pos])
-        out[pos] = tau[pos] ** one_minus_a * (
-            lt / one_minus_a - 1.0 / one_minus_a**2
-        )
-        return out
-
-    return anti(lo) - anti(hi)
+    ok = (a >= 0.0) & (a < 1.0)
+    if not ok.all():
+        raise DomainError(f"order value {a[~ok][0]} outside [0, 1)")
+    oma = (1.0 - a)[:, None]
+    t = mesh.nodes
+    tau = np.maximum(t[n, None] - t[: n.max() + 1], 0.0)  # zero for j >= n
+    pos = tau > 0.0
+    p = tau**oma
+    anti = np.where(pos, p * (np.log(np.where(pos, tau, 1.0)) / oma - 1.0 / oma**2), 0.0)
+    m0 = (p[:, :-1] - p[:, 1:]) / oma
+    mlog = anti[:, :-1] - anti[:, 1:]
+    return (digamma(oma) * m0 - mlog) / gamma(oma)
 
 
 def order_sensitivity_weights(mesh: TimeMesh, n: int, alpha_value: float) -> np.ndarray:
@@ -302,15 +307,26 @@ def order_sensitivity_weights(mesh: TimeMesh, n: int, alpha_value: float) -> np.
     every function sampled on the mesh.
     """
     _check_node(mesh, n)
-    if not 0.0 <= alpha_value < 1.0:
-        raise DomainError(f"order value {alpha_value} outside [0, 1)")
-    oma = 1.0 - alpha_value
-    t = mesh.nodes
-    lo = t[n] - t[:n]
-    hi = t[n] - t[1 : n + 1]
-    m0 = (lo**oma - hi**oma) / oma
-    mlog = _log_kernel_moments(lo, hi, oma)
-    return (digamma(oma) * m0 - mlog) / gamma(oma)
+    return _sensitivity_weight_rows(mesh, np.array([n]), np.array([float(alpha_value)]))[0]
+
+
+def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:
+    """Order-derivatives of the Caputo values of many functions at every node.
+
+    a holds alpha(t_n) at every node t_0..t_M and slopes holds the
+    difference quotients (g_j - g_{j-1}) / h_j of each function as an
+    (N, M) array.  Column n of the (N, M+1) result is
+    sum_j s_j(n, a[n]) slopes[:, j-1] with the weights of
+    order_sensitivity_weights; column 0 is 0.  The weights are built
+    SENSITIVITY_BLOCK nodes at a time and applied with one matrix product
+    per block, so memory grows with M, not M^2.
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.zeros((slopes.shape[0], mesh.M + 1))
+    for first in range(1, mesh.M + 1, SENSITIVITY_BLOCK):
+        n = np.arange(first, min(first + SENSITIVITY_BLOCK, mesh.M + 1))
+        out[:, n] = slopes[:, : n[-1]] @ _sensitivity_weight_rows(mesh, n, a[n]).T
+    return out
 
 
 def caputo_order_sensitivity(g: SampledFunction, alpha_value: float, n: int) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IllPosedExtractionError
-from .fracops import OrderFunction, TimeMesh, order_sensitivity_weights, project_admissible
+from .fracops import OrderFunction, TimeMesh, order_sensitivities, polyval, project_admissible
 from .forward import ModelSpec, default_grading, solve_forward, step_modes
 from .spectral import SpectralBasis
 
@@ -97,6 +97,8 @@ class InversionResult:
     final_misfit: float
     iterations: int
     inverse_crime: bool | None
+    # why recover_order stopped: "tolerance", "max_iter" or "no_descent"
+    stop_reason: str | None = None
 
 
 @dataclass
@@ -202,8 +204,46 @@ def extract_modes(obs: ObservationSet, basis: SpectralBasis, n_modes: int) -> Mo
     )
 
 
-def _inversion_mesh(obs: ObservationSet) -> TimeMesh:
-    return TimeMesh.from_nodes(np.concatenate(([0.0], obs.t_points)))
+class _Inversion:
+    """What one inversion of obs computes once, whatever the candidate order:
+    the mesh of the observation times (plus t = 0), the basis eigenvalues,
+    the u0 mode coefficients, k(t_n) and the observation design matrix.
+    """
+
+    def __init__(self, obs: ObservationSet, model: ModelSpec, config: InversionConfig):
+        self.obs = obs
+        self.model = model
+        self.config = config
+        self.mesh = TimeMesh.from_nodes(np.concatenate(([0.0], obs.t_points)))
+        basis = model.basis(config.n_modes)
+        self.lam = basis.eigenvalues()
+        self.u0 = model.u0_coefficients(basis).values
+        self.k = polyval(model.k_coeffs, self.mesh.nodes)
+        self.phi = basis.design_matrix(obs.x_points)
+
+    def solve(self, alpha_coeffs):
+        """(alpha(t_n), u_i(t_n)) of a candidate order; u is (N, M+1)."""
+        cand = OrderFunction(alpha_coeffs, self.config.alpha_star, self.model.T)
+        a = cand(self.mesh.nodes)
+        return a, step_modes(self.mesh, a, self.k, self.lam, self.u0)
+
+    def residual(self, u):
+        """Stacked misfit of a trajectory u, x-major order."""
+        return (self.phi @ u[:, 1:] - self.obs.values).ravel()
+
+    def jacobian(self, n_coeffs, a, u):
+        """Residual derivative for an order with n_coeffs coefficients,
+        given that order's trajectory (a, u) from solve."""
+        mesh = self.mesh
+        slope = np.diff(u, axis=1) / mesh.spacing
+        sens = order_sensitivities(mesh, a, slope)
+        t_pow = mesh.nodes ** np.arange(n_coeffs)[:, None]
+        forcing = -(self.k * t_pow)[:, None, :] * sens
+        lam = np.tile(self.lam, n_coeffs)
+        v = step_modes(mesh, a, self.k, lam, np.zeros(lam.size), forcing.reshape(lam.size, -1))
+        v = v.reshape(n_coeffs, self.lam.size, -1)
+        # residual rows are x-major: row (j, m) = j * n_t + m
+        return np.einsum("ji,qim->jmq", self.phi, v[:, :, 1:]).reshape(-1, n_coeffs)
 
 
 def residual(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: InversionConfig):
@@ -212,12 +252,8 @@ def residual(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
     The candidate forward solve runs on the mesh spanned by the observation
     times (plus t = 0), independent of how the data was generated.
     """
-    cand = OrderFunction(alpha_coeffs, config.alpha_star, model.T)
-    mesh = _inversion_mesh(obs)
-    fld = solve_forward(model.with_alpha(cand), mesh, config.n_modes)
-    phi = fld.basis.design_matrix(obs.x_points)
-    pred = phi @ fld.coeff_matrix()[:, 1:]
-    return (pred - obs.values).ravel()
+    inv = _Inversion(obs, model, config)
+    return inv.residual(inv.solve(alpha_coeffs)[1])
 
 
 def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: InversionConfig):
@@ -227,28 +263,11 @@ def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
     chaining d alpha(t_n)/d c_q = t_n^q gives, for v = d u_i / d c_q, the
     recurrence of u_i itself with v_0 = 0 and the forcing -k_n t_n^q S_n,
     where S_n is the exact order-derivative of the discrete Caputo value of
-    the already-computed trajectory u_i.  All (coefficient, mode) pairs are
-    stepped in one step_modes call.
+    the already-computed trajectory u_i (order_sensitivities).  All
+    (coefficient, mode) pairs are stepped in one step_modes call.
     """
-    cand = OrderFunction(alpha_coeffs, config.alpha_star, model.T)
-    mesh = _inversion_mesh(obs)
-    spec = model.with_alpha(cand)
-    fld = solve_forward(spec, mesh, config.n_modes)
-    a, k = spec.node_values(mesh)
-    u = fld.coeff_matrix()
-    slope = np.diff(u, axis=1) / mesh.spacing
-    sens = np.zeros_like(u)
-    for n in range(1, mesh.M + 1):
-        sens[:, n] = slope[:, :n] @ order_sensitivity_weights(mesh, n, a[n])
-    n_coeffs = len(alpha_coeffs)
-    t_pow = mesh.nodes ** np.arange(n_coeffs)[:, None]
-    forcing = -(k * t_pow)[:, None, :] * sens
-    lam = np.tile(fld.basis.eigenvalues(), n_coeffs)
-    v = step_modes(mesh, a, k, lam, np.zeros(lam.size), forcing.reshape(lam.size, -1))
-    v = v.reshape(n_coeffs, config.n_modes, -1)
-    phi = fld.basis.design_matrix(obs.x_points)
-    # residual rows are x-major: row (j, m) = j * n_t + m
-    return np.einsum("ji,qim->jmq", phi, v[:, :, 1:]).reshape(-1, n_coeffs)
+    inv = _Inversion(obs, model, config)
+    return inv.jacobian(len(alpha_coeffs), *inv.solve(alpha_coeffs))
 
 
 def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig) -> InversionResult:
@@ -258,14 +277,17 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     start (unless configured), halving steps that do not decrease the
     objective and projecting every iterate into the admissible bounds
     with project_admissible, the exact check that OrderFunction applies.
+    Each trial step is solved once; the Jacobian at the accepted iterate
+    reuses that trajectory.  stop_reason records why the loop ended:
+    "tolerance" (converged), "max_iter", or "no_descent" (every halving
+    of the step failed to decrease the objective).
     Requires a nonzero initial datum and k(0) != 0, without which the data
     does not determine the order.
     """
     if model.k_at(0.0) == 0.0:
         raise DomainError("order recovery requires k(0) != 0")
-    basis = model.basis(config.n_modes)
-    u0c = model.u0_coefficients(basis).values
-    if float(np.abs(u0c).max()) <= 1e-12:
+    inv = _Inversion(obs, model, config)
+    if float(np.abs(inv.u0).max()) <= 1e-12:
         raise DomainError(
             "order recovery requires a nonzero initial datum "
             "(no mode coefficient above threshold)"
@@ -288,13 +310,14 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     def objective(coeffs, res):
         return float(res @ res + mu * np.sum((coeffs - prior) ** 2))
 
-    res = residual(c, obs, model, config)
+    a, u = inv.solve(c)
+    res = inv.residual(u)
     history = [float(np.linalg.norm(res))]
     obj = objective(c, res)
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     for _ in range(config.max_iter):
-        J = jacobian(c, obs, model, config)
+        J = inv.jacobian(c.size, a, u)
         lhs = J.T @ J + mu * np.eye(c.size)
         rhs = -(J.T @ res) - mu * (c - prior)
         try:
@@ -305,21 +328,23 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
         accepted = False
         for _ in range(STEP_HALVINGS):
             cand = project_admissible(c + step * delta, model.T, config.alpha_star)
-            cand_res = residual(cand, obs, model, config)
+            cand_a, cand_u = inv.solve(cand)
+            cand_res = inv.residual(cand_u)
             cand_obj = objective(cand, cand_res)
             if cand_obj <= obj:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
+            stop_reason = "no_descent"
             break
         moved = float(np.abs(cand - c).max())
-        c, res, obj = cand, cand_res, cand_obj
+        c, a, u, res, obj = cand, cand_a, cand_u, cand_res, cand_obj
         history.append(float(np.linalg.norm(res)))
         iterations += 1
         rel_drop = abs(history[-2] - history[-1]) / max(1.0, history[-1])
         if moved <= config.gn_tolerance or rel_drop <= config.gn_tolerance:
-            converged = True
+            stop_reason = "tolerance"
             break
     crime = None
     if obs.synthesis_mesh is not None and obs.inversion_mesh is not None:
@@ -327,10 +352,11 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     return InversionResult(
         coeffs=tuple(float(v) for v in c),
         residual_history=history,
-        converged=converged,
+        converged=stop_reason == "tolerance",
         final_misfit=history[-1],
         iterations=iterations,
         inverse_crime=crime,
+        stop_reason=stop_reason,
     )
 
 
@@ -341,9 +367,7 @@ def uniqueness_scan(obs: ObservationSet, model: ModelSpec, grid, config: Inversi
     candidates = [tuple(float(v) for v in np.atleast_1d(cand)) for cand in grid]
     if not candidates:
         raise DomainError("candidate grid is empty")
-    misfits = [
-        float(np.linalg.norm(residual(cand, obs, model, config)))
-        for cand in candidates
-    ]
+    inv = _Inversion(obs, model, config)
+    misfits = [float(np.linalg.norm(inv.residual(inv.solve(cand)[1]))) for cand in candidates]
     best = int(np.argmin(misfits))
     return ScanResult(candidates=candidates, misfits=misfits, best_index=best)

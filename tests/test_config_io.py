@@ -139,6 +139,24 @@ class TestCsvRoundTrips:
         assert np.array_equal(u.reshape(17, 3).T, field.coeff_matrix())
         assert set(i.tolist()) == {1, 2, 3}
 
+    def test_field_writers_match_per_cell_formatting(self, tmp_path):
+        # graded mesh; x = L gives values of about 1e-16 from sin(i pi)
+        field = _small_field()
+        xs = np.linspace(0.0, np.pi, 9)
+        vals = field.basis.design_matrix(xs) @ field.coeff_matrix()
+        assert 0.0 < np.abs(vals[-1, 1:]).max() < 1e-14
+        sol = ["t,x,u"]
+        modes = ["t,i,u_i"]
+        for n, t in enumerate(field.mesh.nodes):
+            for j, xv in enumerate(xs):
+                sol.append(f"{csvio.fmt(t)},{csvio.fmt(xv)},{csvio.fmt(vals[j, n])}")
+            for i in range(field.basis.N):
+                modes.append(f"{csvio.fmt(t)},{i + 1},{csvio.fmt(field.values[i, n])}")
+        csvio.write_solution_csv(tmp_path / "solution.csv", field, xs)
+        csvio.write_modes_csv(tmp_path / "modes.csv", field)
+        assert (tmp_path / "solution.csv").read_bytes() == ("\n".join(sol) + "\n").encode()
+        assert (tmp_path / "modes.csv").read_bytes() == ("\n".join(modes) + "\n").encode()
+
     def test_stability(self, tmp_path):
         path = tmp_path / "stability.csv"
         csvio.write_stability_csv(path, 1.5, 0.987654321012345678)

@@ -15,7 +15,7 @@ from vordiff import (
     caputo_vo,
     frac_integral_vo,
 )
-from vordiff.fracops import project_admissible
+from vordiff.fracops import SENSITIVITY_BLOCK, order_sensitivities, project_admissible
 
 
 def sampled(mesh, fn):
@@ -305,6 +305,28 @@ class TestOrderSensitivity:
             t_n = mesh.nodes[n]
             assert np.log(t_n) < -abs(digamma(1.0 - a))
             assert caputo_order_sensitivity(g, a, n) < 0.0
+
+    @pytest.mark.parametrize("order", [lambda t: np.full_like(t, 0.6), lambda t: 0.3 * t])
+    def test_blocked_matches_per_node(self, order):
+        M = 2 * SENSITIVITY_BLOCK + 22  # two full blocks and a partial one
+        mesh = TimeMesh(1.0, M, 2.5)
+        t = mesh.nodes
+        a = order(t)
+        funcs = np.array([np.sin(3.0 * t), t**0.7, np.exp(-t) * np.cos(5.0 * t)])
+        blocked = order_sensitivities(mesh, a, np.diff(funcs, axis=1) / mesh.spacing)
+        assert blocked.shape == (3, M + 1)
+        assert np.all(blocked[:, 0] == 0.0)
+        for g, row in zip(funcs, blocked):
+            g = SampledFunction(mesh, g)
+            per_node = [caputo_order_sensitivity(g, a[n], n) for n in range(1, M + 1)]
+            np.testing.assert_allclose(row[1:], per_node, rtol=1e-13, atol=0.0)
+
+    def test_blocked_rejects_bad_order(self):
+        mesh = TimeMesh(1.0, 16, 1.0)
+        a = np.full(17, 0.5)
+        a[9] = 1.0
+        with pytest.raises(DomainError, match="order value 1.0"):
+            order_sensitivities(mesh, a, np.ones((2, 16)))
 
     def test_rejects_bad_order(self):
         mesh = TimeMesh(1.0, 16, 1.0)
