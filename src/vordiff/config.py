@@ -8,23 +8,16 @@ concrete value, so parse -> emit -> parse is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .diagnostics import default_fit_window
 from .errors import ConfigError, DomainError
 from .forward import ModelSpec, default_grading
 from .fracops import OrderFunction, TimeMesh
-from .inverse import InversionConfig
+from .inverse import MAX_NOISE_LEVEL, InversionConfig
 from .spectral import SpectralBasis
-
-
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_int(s):
-    return int(s)
 
 
 def _parse_float_list(s):
@@ -32,10 +25,6 @@ def _parse_float_list(s):
     if not parts:
         raise ValueError("empty list")
     return tuple(float(p) for p in parts)
-
-
-def _parse_str(s):
-    return s
 
 
 def _parse_grading(s):
@@ -46,90 +35,55 @@ def _fmt_float(v):
     return repr(float(v))
 
 
-def _fmt_int(v):
-    return str(int(v))
-
-
 def _fmt_float_list(v):
     return ", ".join(repr(float(x)) for x in v)
-
-
-def _fmt_str(v):
-    return str(v)
 
 
 def _fmt_grading(v):
     return "auto" if v is None else repr(float(v))
 
 
-# key -> (attr, parse, format, required, default)
-_SCHEMA = {
-    "model.K": ("K", _parse_float, _fmt_float, True, None),
-    "model.L": ("L", _parse_float, _fmt_float, True, None),
-    "model.T": ("T", _parse_float, _fmt_float, True, None),
-    "model.k_coeffs": ("k_coeffs", _parse_float_list, _fmt_float_list, False, (1.0,)),
-    "model.alpha_coeffs": ("alpha_coeffs", _parse_float_list, _fmt_float_list, True, None),
-    "model.alpha_star": ("alpha_star", _parse_float, _fmt_float, True, None),
-    "model.u0": ("u0", _parse_str, _fmt_str, True, None),
-    "mesh.M": ("mesh_M", _parse_int, _fmt_int, True, None),
-    "mesh.r": ("mesh_r", _parse_grading, _fmt_grading, False, None),
-    "basis.N": ("basis_N", _parse_int, _fmt_int, True, None),
-    "observation.a": ("obs_a", _parse_float, _fmt_float, False, None),
-    "observation.b": ("obs_b", _parse_float, _fmt_float, False, None),
-    "observation.x_count": ("obs_x_count", _parse_int, _fmt_int, False, 16),
-    "observation.noise_level": ("noise_level", _parse_float, _fmt_float, False, 0.0),
-    "observation.synthesis_refine": ("synthesis_refine", _parse_int, _fmt_int, False, 4),
-    "inversion.degree": ("inv_degree", _parse_int, _fmt_int, False, 0),
-    "inversion.max_iter": ("inv_max_iter", _parse_int, _fmt_int, False, 30),
-    "inversion.gn_tolerance": ("inv_gn_tolerance", _parse_float, _fmt_float, False, 1e-8),
-    "inversion.tikhonov": ("inv_tikhonov", _parse_float, _fmt_float, False, 0.0),
-    "inversion.init": ("inv_init", _parse_float_list, _fmt_float_list, False, (0.5,)),
-    "diagnostics.gamma": ("diag_gamma", _parse_float, _fmt_float, False, 0.0),
-    "diagnostics.fit_lo": ("diag_fit_lo", _parse_float, _fmt_float, False, None),
-    "diagnostics.fit_hi": ("diag_fit_hi", _parse_float, _fmt_float, False, None),
-    "scan.c0_grid": ("scan_c0_grid", _parse_float_list, _fmt_float_list, False, None),
-    "output.dir": ("out_dir", _parse_str, _fmt_str, False, "out"),
-    "output.x_count": ("out_x_count", _parse_int, _fmt_int, False, 33),
-    "run.seed": ("seed", _parse_int, _fmt_int, False, 0),
-}
-
-_ATTR_TO_KEY = {attr: key for key, (attr, *_rest) in _SCHEMA.items()}
+def _key(key, parse, fmt, default=MISSING):
+    """A field read from and emitted as ``key``; without a default it is required."""
+    return field(default=default, metadata={"key": key, "parse": parse, "fmt": fmt})
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    K: float
-    L: float
-    T: float
-    k_coeffs: tuple
-    alpha_coeffs: tuple
-    alpha_star: float
-    u0: str
-    mesh_M: int
-    mesh_r: float | None
-    basis_N: int
-    obs_a: float
-    obs_b: float
-    obs_x_count: int
-    noise_level: float
-    synthesis_refine: int
-    inv_degree: int
-    inv_max_iter: int
-    inv_gn_tolerance: float
-    inv_tikhonov: float
-    inv_init: tuple
-    diag_gamma: float
-    diag_fit_lo: float
-    diag_fit_hi: float
-    scan_c0_grid: tuple
-    out_dir: str
-    out_x_count: int
-    seed: int
+    # Field order is the emit order.  None defaults are resolved at load.
+    K: float = _key("model.K", float, _fmt_float)
+    L: float = _key("model.L", float, _fmt_float)
+    T: float = _key("model.T", float, _fmt_float)
+    k_coeffs: tuple = _key("model.k_coeffs", _parse_float_list, _fmt_float_list, (1.0,))
+    alpha_coeffs: tuple = _key("model.alpha_coeffs", _parse_float_list, _fmt_float_list)
+    alpha_star: float = _key("model.alpha_star", float, _fmt_float)
+    u0: str = _key("model.u0", str, str)
+    mesh_M: int = _key("mesh.M", int, str)
+    mesh_r: float | None = _key("mesh.r", _parse_grading, _fmt_grading, None)
+    basis_N: int = _key("basis.N", int, str)
+    obs_a: float = _key("observation.a", float, _fmt_float, None)
+    obs_b: float = _key("observation.b", float, _fmt_float, None)
+    obs_x_count: int = _key("observation.x_count", int, str, 16)
+    noise_level: float = _key("observation.noise_level", float, _fmt_float, 0.0)
+    synthesis_refine: int = _key("observation.synthesis_refine", int, str, 4)
+    inv_degree: int = _key("inversion.degree", int, str, 0)
+    inv_max_iter: int = _key("inversion.max_iter", int, str, 30)
+    inv_gn_tolerance: float = _key("inversion.gn_tolerance", float, _fmt_float, 1e-8)
+    inv_tikhonov: float = _key("inversion.tikhonov", float, _fmt_float, 0.0)
+    inv_init: tuple = _key("inversion.init", _parse_float_list, _fmt_float_list, (0.5,))
+    diag_gamma: float = _key("diagnostics.gamma", float, _fmt_float, 0.0)
+    diag_fit_lo: float = _key("diagnostics.fit_lo", float, _fmt_float, None)
+    diag_fit_hi: float = _key("diagnostics.fit_hi", float, _fmt_float, None)
+    scan_c0_grid: tuple = _key("scan.c0_grid", _parse_float_list, _fmt_float_list, None)
+    out_dir: str = _key("output.dir", str, str, "out")
+    out_x_count: int = _key("output.x_count", int, str, 33)
+    seed: int = _key("run.seed", int, str, 0)
 
     # -- construction ------------------------------------------------
 
     @classmethod
     def from_text(cls, text, path="<config>"):
+        by_key = {f.metadata["key"]: f for f in fields(cls)}
         raw = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
@@ -144,26 +98,24 @@ class RunConfig:
             key, _, value = body.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _SCHEMA:
+            if key not in by_key:
                 raise ConfigError(f"unknown key {key!r}", path, lineno)
             if key in raw:
                 raise ConfigError(f"duplicate key {key!r}", path, lineno)
             raw[key] = (value, lineno)
 
         kwargs = {}
-        for key, (attr, parse, _fmt, required, default) in _SCHEMA.items():
+        for key, f in by_key.items():
             if key in raw:
                 value, lineno = raw[key]
                 try:
-                    kwargs[attr] = parse(value)
+                    kwargs[f.name] = f.metadata["parse"](value)
                 except ValueError as exc:
                     raise ConfigError(
                         f"bad value for {key!r}: {exc}", path, lineno
                     ) from exc
-            elif required:
+            elif f.default is MISSING:
                 raise ConfigError(f"missing key {key!r}", path)
-            else:
-                kwargs[attr] = default
         cfg = cls(**kwargs)
         cfg._resolve()
         cfg._validate(path)
@@ -186,10 +138,11 @@ class RunConfig:
             self.obs_a = 0.2 * self.L
         if self.obs_b is None:
             self.obs_b = 0.8 * self.L
+        fit_lo, fit_hi = default_fit_window(self.T)
         if self.diag_fit_lo is None:
-            self.diag_fit_lo = self.T * 1e-3
+            self.diag_fit_lo = fit_lo
         if self.diag_fit_hi is None:
-            self.diag_fit_hi = self.T * 1e-1
+            self.diag_fit_hi = fit_hi
         if self.scan_c0_grid is None:
             self.scan_c0_grid = tuple(np.linspace(0.10, 0.90, 17).tolist())
 
@@ -198,6 +151,7 @@ class RunConfig:
             self.order_function()
             self.time_mesh()
             SpectralBasis(self.K, self.L, self.basis_N)
+            self.inversion_config()
         except DomainError as exc:
             raise ConfigError(str(exc), path) from exc
         if not 0.0 <= self.obs_a < self.obs_b <= self.L:
@@ -212,9 +166,11 @@ class RunConfig:
                 "to come from a strictly finer mesh than the inversion mesh",
                 path,
             )
-        if not 0.0 <= self.noise_level <= 0.1:
+        if not 0.0 <= self.noise_level <= MAX_NOISE_LEVEL:
             raise ConfigError(
-                f"observation.noise_level {self.noise_level} outside [0, 0.1]", path
+                f"observation.noise_level {self.noise_level} outside "
+                f"[0, {MAX_NOISE_LEVEL}]",
+                path,
             )
         if self.u0.startswith("mode"):
             try:
@@ -236,10 +192,10 @@ class RunConfig:
     # -- emission ----------------------------------------------------
 
     def emit(self) -> str:
-        lines = []
-        for key, (attr, _parse, fmt, _required, _default) in _SCHEMA.items():
-            lines.append(f"{key} = {fmt(getattr(self, attr))}")
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"{f.metadata['key']} = {f.metadata['fmt'](getattr(self, f.name))}\n"
+            for f in fields(self)
+        )
 
     # -- domain objects ----------------------------------------------
 
@@ -254,10 +210,7 @@ class RunConfig:
             L = self.L
             return lambda x: np.asarray(x) * (L - np.asarray(x))
         if self.u0.startswith("mode"):
-            i = int(self.u0[4:])
-            L = self.L
-            scale = np.sqrt(2.0 / L)
-            return lambda x: scale * np.sin(i * np.pi * np.asarray(x) / L)
+            return SpectralBasis(self.K, self.L, self.basis_N).eigenfunction(int(self.u0[4:]))
         if self.u0.startswith("file:"):
             fname = self.u0[5:]
             data = np.loadtxt(fname, delimiter=",", skiprows=1)

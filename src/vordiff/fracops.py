@@ -174,12 +174,6 @@ class OrderFunction:
         value = polyval(self.coeffs, t)
         return float(value) if np.ndim(t) == 0 else value
 
-    @classmethod
-    def constant(cls, value, T, alpha_star=None):
-        if alpha_star is None:
-            alpha_star = max(value, 1e-12)
-        return cls((float(value),), alpha_star, T)
-
 
 @dataclass
 class SampledFunction:
@@ -272,10 +266,11 @@ def caputo_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
 
 
 def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
-    """Rows r of order_sensitivity_weights(mesh, n[r], a[r]) in one array.
+    """Order-sensitivity weights at the nodes n[r] with orders a[r], one row each.
 
-    Row r holds the weights s_1..s_{n[r]} followed by zeros up to the
-    largest node index in n.  The log-kernel moment uses the antiderivative
+    Row r holds the weights s_1..s_{n[r]} of caputo_order_sensitivity at
+    node n[r] and order a[r], followed by zeros up to the largest node
+    index in n.  The log-kernel moment uses the antiderivative
     tau^(1-a) (ln tau / (1-a) - 1/(1-a)^2) of ln(tau) tau^(-a), whose limit
     at tau = 0 is 0 since 1 - a > 0; the kernel values at tau = t_n - t_j
     are shared by the intervals on either side of t_j.
@@ -294,22 +289,6 @@ def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
     return (digamma(oma) * m0 - mlog) / gamma(oma)
 
 
-def order_sensitivity_weights(mesh: TimeMesh, n: int, alpha_value: float) -> np.ndarray:
-    """Weights s_j with sum_j s_j (g_j - g_{j-1}) / h_j the order-derivative
-    of the Caputo value at node n, for j = 1..n.
-
-    Discretizes (1/Gamma(1-a)) * int_0^{t_n} (psi(1-a) - ln(t_n - s))
-    g'(s) (t_n - s)^(-a) ds in the same L1 style as caputo_vo, with
-    psi the digamma function and a = alpha_value.  Because the L1 weights
-    depend on the order only through a = alpha(t_n), this is the exact
-    order-derivative of the discrete operator, not merely a consistent
-    approximation.  The weights do not depend on g, so one vector serves
-    every function sampled on the mesh.
-    """
-    _check_node(mesh, n)
-    return _sensitivity_weight_rows(mesh, np.array([n]), np.array([float(alpha_value)]))[0]
-
-
 def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:
     """Order-derivatives of the Caputo values of many functions at every node.
 
@@ -317,7 +296,7 @@ def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:
     difference quotients (g_j - g_{j-1}) / h_j of each function as an
     (N, M) array.  Column n of the (N, M+1) result is
     sum_j s_j(n, a[n]) slopes[:, j-1] with the weights of
-    order_sensitivity_weights; column 0 is 0.  The weights are built
+    caputo_order_sensitivity; column 0 is 0.  The weights are built
     SENSITIVITY_BLOCK nodes at a time and applied with one matrix product
     per block, so memory grows with M, not M^2.
     """
@@ -330,7 +309,18 @@ def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:
 
 
 def caputo_order_sensitivity(g: SampledFunction, alpha_value: float, n: int) -> float:
-    """Derivative of the Caputo value of g at node n with respect to the order."""
-    weights = order_sensitivity_weights(g.mesh, n, alpha_value)
+    """Derivative of the Caputo value of g at node n with respect to the order.
+
+    The value is sum_j s_j (g_j - g_{j-1}) / h_j for j = 1..n, with weights
+    s_j that discretize (1/Gamma(1-a)) * int_0^{t_n} (psi(1-a) - ln(t_n - s))
+    g'(s) (t_n - s)^(-a) ds in the same L1 style as caputo_vo, with psi
+    the digamma function and a = alpha_value.  Because the L1 weights
+    depend on the order only through a = alpha(t_n), this is the exact
+    order-derivative of the discrete operator, not merely a consistent
+    approximation.  The weights do not depend on g, so one vector serves
+    every function sampled on the mesh.
+    """
+    _check_node(g.mesh, n)
+    weights = _sensitivity_weight_rows(g.mesh, np.array([n]), np.array([float(alpha_value)]))
     slope = np.diff(g.values[: n + 1]) / g.mesh.spacing[:n]
-    return float(slope @ weights)
+    return float(slope @ weights[0])

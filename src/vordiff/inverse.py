@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IllPosedExtractionError
-from .fracops import OrderFunction, TimeMesh, order_sensitivities, polyval, project_admissible
+from .fracops import (MAX_ORDER_DEGREE, OrderFunction, TimeMesh, order_sensitivities,
+                      polyval, project_admissible)
 from .forward import ModelSpec, default_grading, solve_forward, step_modes
 from .spectral import SpectralBasis
 
@@ -83,10 +84,15 @@ class InversionConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:
             raise DomainError(f"alpha_star must lie in (0, 1), got {self.alpha_star}")
-        if self.degree < 0 or self.degree > 6:
-            raise DomainError(f"ansatz degree {self.degree} outside 0..6")
+        if not 0 <= self.degree <= MAX_ORDER_DEGREE:
+            raise DomainError(f"ansatz degree {self.degree} outside 0..{MAX_ORDER_DEGREE}")
         if self.tikhonov < 0.0:
             raise DomainError("tikhonov weight must be >= 0")
+        if self.init_coeffs is not None and np.size(self.init_coeffs) > self.degree + 1:
+            raise DomainError(
+                f"initial guess has {np.size(self.init_coeffs)} coefficients but the "
+                f"ansatz degree is {self.degree}"
+            )
 
 
 @dataclass
@@ -294,13 +300,7 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
         )
     c = np.zeros(config.degree + 1)
     if config.init_coeffs is not None:
-        init = np.asarray(config.init_coeffs, dtype=float)
-        if init.size > c.size:
-            raise DomainError(
-                f"initial guess has {init.size} coefficients but the ansatz "
-                f"degree is {config.degree}"
-            )
-        c[: init.size] = init
+        c[: np.size(config.init_coeffs)] = config.init_coeffs
     else:
         c[0] = 0.5
     c = project_admissible(c, model.T, config.alpha_star)

@@ -46,8 +46,7 @@ class SpectralBasis:
         if not 1 <= i <= self.N:
             raise DomainError(f"mode index {i} outside 1..{self.N}")
         scale = np.sqrt(2.0 / self.L)
-        freq = i * np.pi / self.L
-        return lambda x: scale * np.sin(freq * np.asarray(x, dtype=float))
+        return lambda x: scale * np.sin(i * np.pi * np.asarray(x, dtype=float) / self.L)
 
     def design_matrix(self, x):
         """phi_i(x_j) as an (len(x), N) array."""

@@ -112,6 +112,14 @@ class TestSynthInvertScanDiagnose:
         assert row["expected_slope"] == -0.3
         assert row["verdict"] == "singular"
 
+    def test_invert_bad_inversion_key_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TWIN_CFG.replace("inversion.degree = 1",
+                                                   "inversion.degree = 9"))
+        assert main(["invert", "--config", cfg, "--obs",
+                     str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert cfg in err and "ansatz degree 9" in err
+
     def test_invert_missing_obs_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, TWIN_CFG)
         assert main(["invert", "--config", cfg, "--obs",

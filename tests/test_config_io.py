@@ -1,3 +1,7 @@
+import dataclasses
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,9 @@ from vordiff.inverse import (
     ScanResult,
     synthesize_observations,
 )
+from vordiff.spectral import SpectralBasis
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 BASE = """
 model.K = 1.0
@@ -84,6 +91,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="synthesis_refine"):
             RunConfig.from_text(BASE + "observation.synthesis_refine = 2\n")
 
+    @pytest.mark.parametrize(
+        "extra, match",
+        [
+            ("inversion.degree = 9\n", "ansatz degree 9"),
+            ("inversion.tikhonov = -1\n", "tikhonov"),
+            ("inversion.init = 0.5, 0.1, 0.1\n", "initial guess has 3 coefficients"),
+        ],
+    )
+    def test_inversion_values_checked_at_load(self, extra, match):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_text(BASE + extra)
+
     def test_unknown_profile_rejected(self):
         text = BASE.replace("model.u0 = parabola", "model.u0 = wiggle")
         with pytest.raises(ConfigError, match="u0 profile"):
@@ -95,6 +114,9 @@ class TestConfigParsing:
         u0 = cfg.u0_profile()
         x = np.linspace(0, cfg.L, 7)
         assert np.allclose(u0(x), np.sqrt(2 / cfg.L) * np.sin(2 * x))
+        mode2 = SpectralBasis(cfg.K, cfg.L, cfg.basis_N).eigenfunction(2)
+        dense = np.linspace(0, cfg.L, 1001)
+        assert np.array_equal(u0(dense), mode2(dense))
 
     def test_grading_auto_vs_explicit(self):
         cfg = RunConfig.from_text(BASE + "mesh.r = auto\n".replace("mesh.r = auto", ""))
@@ -109,6 +131,25 @@ class TestConfigParsing:
         assert isinstance(cfg.model_spec(), ModelSpec)
         assert isinstance(cfg.inversion_config(), InversionConfig)
         assert cfg.model_spec(with_order=False).alpha is None
+
+
+class TestReadme:
+    def _ini_block(self):
+        text = README.read_text(encoding="utf-8")
+        return re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+
+    def test_example_config_loads(self):
+        RunConfig.from_text(self._ini_block(), path=str(README))
+
+    def test_required_keys_match_fields_without_default(self):
+        text = README.read_text(encoding="utf-8")
+        listed = re.search(r"Required keys: (.*?)\. Everything", text, re.S).group(1)
+        required = {
+            f.metadata["key"]
+            for f in dataclasses.fields(RunConfig)
+            if f.default is dataclasses.MISSING
+        }
+        assert set(re.findall(r"`([\w.]+)`", listed)) == required
 
 
 def _small_field():
