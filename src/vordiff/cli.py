@@ -77,10 +77,8 @@ def run_synth(cfg: RunConfig, out_dir):
 def run_invert(cfg: RunConfig, obs_path, out_dir):
     try:
         obs = csvio.read_observations_csv(obs_path)
-    except OSError as exc:
+    except (OSError, KeyError, IndexError, ValueError) as exc:
         raise ConfigError(f"cannot read observations: {exc}", str(obs_path)) from None
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ConfigError(f"malformed observations file: {exc}", str(obs_path)) from None
     result = recover_order(obs, cfg.model_spec(with_order=False), cfg.inversion_config())
     csvio.write_inversion_csv(os.path.join(out_dir, "inversion.csv"), result)
     csvio.write_residual_history_csv(

@@ -12,12 +12,16 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .csvio import _read_table
 from .diagnostics import default_fit_window
 from .errors import ConfigError, DomainError
 from .forward import ModelSpec, default_grading
 from .fracops import OrderFunction, TimeMesh
 from .inverse import MAX_NOISE_LEVEL, InversionConfig
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, analyze
+
+# A u0 file's x column may stray this far, relative to L, from linspace(0, L, n).
+U0_GRID_RTOL = 1e-9
 
 
 def _parse_float_list(s):
@@ -144,7 +148,9 @@ class RunConfig:
         if self.diag_fit_hi is None:
             self.diag_fit_hi = fit_hi
         if self.scan_c0_grid is None:
-            self.scan_c0_grid = tuple(np.linspace(0.10, 0.90, 17).tolist())
+            # 17 constant orders over [0.1, 0.9], clipped to alpha_star
+            hi = min(0.90, self.alpha_star)
+            self.scan_c0_grid = tuple(np.linspace(min(0.10, hi), hi, 17).tolist())
 
     def _validate(self, path):
         try:
@@ -160,6 +166,8 @@ class RunConfig:
                 f"inside [0, {self.L}]",
                 path,
             )
+        if not 0.0 <= min(self.scan_c0_grid) <= max(self.scan_c0_grid) <= self.alpha_star:
+            raise ConfigError(f"scan.c0_grid values must lie in [0, {self.alpha_star}]", path)
         if self.synthesis_refine < 4:
             raise ConfigError(
                 "observation.synthesis_refine must be >= 4: synthetic data has "
@@ -172,22 +180,11 @@ class RunConfig:
                 f"[0, {MAX_NOISE_LEVEL}]",
                 path,
             )
-        if self.u0.startswith("mode"):
+        if not self.u0.startswith("file:"):  # a file is read and checked once, on use
             try:
-                idx = int(self.u0[4:])
-            except ValueError:
-                raise ConfigError(f"bad u0 profile {self.u0!r}", path) from None
-            if not 1 <= idx <= self.basis_N:
-                raise ConfigError(
-                    f"u0 profile {self.u0!r} outside basis range 1..{self.basis_N}",
-                    path,
-                )
-        elif self.u0 != "parabola" and not self.u0.startswith("file:"):
-            raise ConfigError(
-                f"unknown u0 profile {self.u0!r} (use 'parabola', 'mode<i>' "
-                "or 'file:PATH')",
-                path,
-            )
+                self.u0_profile()
+            except ValueError as exc:
+                raise ConfigError(f"bad u0 profile {self.u0!r}: {exc}", path) from None
 
     # -- emission ----------------------------------------------------
 
@@ -212,10 +209,19 @@ class RunConfig:
         if self.u0.startswith("mode"):
             return SpectralBasis(self.K, self.L, self.basis_N).eigenfunction(int(self.u0[4:]))
         if self.u0.startswith("file:"):
-            fname = self.u0[5:]
-            data = np.loadtxt(fname, delimiter=",", skiprows=1)
-            return np.asarray(data[:, 1], dtype=float)
-        raise ConfigError(f"unknown u0 profile {self.u0!r}")
+            return self._u0_samples(self.u0[5:])
+        raise DomainError("use 'parabola', 'mode<i>' or 'file:PATH'")
+
+    def _u0_samples(self, fname):
+        """u0 from an ``x,u0`` CSV file on the uniform grid over [0, L]."""
+        try:
+            x, u = _read_table(fname)[0].T
+            if not np.abs(x - np.linspace(0.0, self.L, x.size)).max() <= U0_GRID_RTOL * self.L:
+                raise DomainError(f"x column is not linspace(0, {self.L}, {x.size})")
+            analyze(SpectralBasis(self.K, self.L, self.basis_N), u)  # count, parity, boundary
+        except ValueError as exc:
+            raise ConfigError(f"bad u0 file: {exc}", fname) from None
+        return u
 
     def model_spec(self, with_order=True) -> ModelSpec:
         return ModelSpec(

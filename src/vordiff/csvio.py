@@ -23,28 +23,29 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _data_lines(path):
+def _read_table(path, dtype=float):
+    """Rows and ``# key = value`` comments of one CSV file.
+
+    The file needs a header line and at least one data row; the rows are
+    parsed at once by np.loadtxt into a 2-D array with one column per
+    header field.  A malformed file raises ValueError.
+    """
     comments = {}
-    rows = []
-    header = None
+    lines = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
+        for line in fh.read().splitlines():
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    comments[k.strip()] = v.strip()
-                continue
-            if header is None:
-                header = line
-            else:
-                rows.append(line.split(","))
-    if header is None:
-        raise DomainError(f"{path}: no header line found")
-    return header, rows, comments
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    comments[key.strip()] = value.strip()
+            elif line:
+                lines.append(line)
+    if len(lines) < 2:
+        raise DomainError("file needs a header line and at least one data row")
+    data = np.loadtxt(lines[1:], delimiter=",", dtype=dtype, ndmin=2)
+    if data.shape[1] != lines[0].count(",") + 1:
+        raise DomainError(f"rows do not match the header {lines[0]!r}")
+    return data, comments
 
 
 # -- forward artifacts ------------------------------------------------
@@ -63,11 +64,7 @@ def write_solution_csv(path, field, x_points):
 
 
 def read_solution_csv(path):
-    _header, rows, _ = _data_lines(path)
-    t = np.asarray([float(r[0]) for r in rows])
-    x = np.asarray([float(r[1]) for r in rows])
-    u = np.asarray([float(r[2]) for r in rows])
-    return t, x, u
+    return tuple(_read_table(path)[0].T)
 
 
 def write_modes_csv(path, field):
@@ -80,11 +77,8 @@ def write_modes_csv(path, field):
 
 
 def read_modes_csv(path):
-    _header, rows, _ = _data_lines(path)
-    t = np.asarray([float(r[0]) for r in rows])
-    i = np.asarray([int(r[1]) for r in rows])
-    u = np.asarray([float(r[2]) for r in rows])
-    return t, i, u
+    t, i, u = _read_table(path)[0].T
+    return t, i.astype(int), u
 
 
 def write_stability_csv(path, gamma, ratio):
@@ -92,8 +86,7 @@ def write_stability_csv(path, gamma, ratio):
 
 
 def read_stability_csv(path):
-    _header, rows, _ = _data_lines(path)
-    return float(rows[0][0]), float(rows[0][1])
+    return tuple(_read_table(path)[0][0].tolist())
 
 
 # -- observations ------------------------------------------------------
@@ -119,14 +112,15 @@ def write_observations_csv(path, obs: ObservationSet):
 
 
 def read_observations_csv(path) -> ObservationSet:
-    _header, rows, comments = _data_lines(path)
-    xs = list(dict.fromkeys(float(r[0]) for r in rows))
-    ts = list(dict.fromkeys(float(r[1]) for r in rows))
-    values = np.empty((len(xs), len(ts)))
-    xi = {v: i for i, v in enumerate(xs)}
-    ti = {v: i for i, v in enumerate(ts)}
-    for r in rows:
-        values[xi[float(r[0])], ti[float(r[1])]] = float(r[2])
+    """Rows may come in any order; x and t points are returned sorted."""
+    data, comments = _read_table(path)
+    xs, xi = np.unique(data[:, 0], return_inverse=True)
+    ts, ti = np.unique(data[:, 1], return_inverse=True)
+    cells = xs.size * ts.size
+    if len(data) != cells or np.unique(xi * ts.size + ti).size != cells:
+        raise DomainError("observations must hold each (x, t) cell exactly once")
+    values = np.empty((xs.size, ts.size))
+    values[xi, ti] = data[:, 2]
     window = tuple(float(v) for v in comments["window"].split(","))
     synth = None
     if "synthesis_M" in comments:
@@ -136,8 +130,8 @@ def read_observations_csv(path) -> ObservationSet:
         inv = (int(comments["inversion_M"]), float(comments["inversion_r"]))
     return ObservationSet(
         window=window,
-        x_points=np.asarray(xs),
-        t_points=np.asarray(ts),
+        x_points=xs,
+        t_points=ts,
         values=values,
         noise_level=float(comments["noise_level"]),
         seed=int(comments["seed"]),
@@ -163,11 +157,11 @@ def write_inversion_csv(path, result: InversionResult):
 
 
 def read_inversion_csv(path):
-    _header, rows, comments = _data_lines(path)
-    coeffs = [0.0] * len(rows)
-    for r in rows:
-        coeffs[int(r[0])] = float(r[1])
-    return tuple(coeffs), comments
+    data, comments = _read_table(path)
+    order = np.argsort(data[:, 0])
+    if not np.array_equal(data[order, 0], np.arange(len(data))):
+        raise DomainError("coeff_index must list 0, 1, ..., n-1 exactly once")
+    return tuple(data[order, 1].tolist()), comments
 
 
 def write_residual_history_csv(path, history):
@@ -178,8 +172,7 @@ def write_residual_history_csv(path, history):
 
 
 def read_residual_history_csv(path):
-    _header, rows, _ = _data_lines(path)
-    return [float(r[1]) for r in rows]
+    return _read_table(path)[0][:, 1].tolist()
 
 
 def write_scan_csv(path, scan: ScanResult):
@@ -196,10 +189,8 @@ def write_scan_csv(path, scan: ScanResult):
 
 
 def read_scan_csv(path):
-    _header, rows, _ = _data_lines(path)
-    candidates = [tuple(float(v) for v in r[1:-1]) for r in rows]
-    misfits = [float(r[-1]) for r in rows]
-    return candidates, misfits
+    data = _read_table(path)[0]
+    return [tuple(c) for c in data[:, 1:-1].tolist()], data[:, -1].tolist()
 
 
 # -- diagnostics ---------------------------------------------------------
@@ -215,8 +206,7 @@ def write_regularity_csv(path, report: RegularityReport, alpha0):
 
 
 def read_regularity_csv(path):
-    _header, rows, _ = _data_lines(path)
-    r = rows[0]
+    r = _read_table(path, dtype=str)[0][0].tolist()
     return {
         "alpha0": float(r[0]),
         "fitted_slope": float(r[1]),

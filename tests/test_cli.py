@@ -5,6 +5,7 @@ import pytest
 
 from vordiff import csvio
 from vordiff.cli import main
+from vordiff.config import RunConfig
 
 HEAT_CFG = """
 model.K = 1.0
@@ -124,6 +125,71 @@ class TestSynthInvertScanDiagnose:
         cfg = write_cfg(tmp_path, TWIN_CFG)
         assert main(["invert", "--config", cfg, "--obs",
                      str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 2
+
+
+class TestMalformedInput:
+    def _synth(self, tmp_path):
+        cfg = write_cfg(tmp_path, TWIN_CFG)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "observations.csv").read_text().splitlines()
+        head = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 1
+        return cfg, lines[:head], lines[head:]
+
+    @pytest.mark.parametrize("edit", ["missing", "repeated", "header_only"])
+    def test_incomplete_observation_grid_exit_2(self, tmp_path, capsys, edit):
+        cfg, head, rows = self._synth(tmp_path)
+        rows = {"missing": rows[1:], "repeated": rows + rows[:1], "header_only": []}[edit]
+        obs = tmp_path / "broken.csv"
+        obs.write_text("\n".join(head + rows) + "\n")
+        assert main(["invert", "--config", cfg, "--obs", str(obs),
+                     "--out", str(tmp_path / "inv")]) == 2
+        assert str(obs) in capsys.readouterr().err
+
+    def test_shuffled_observations_invert_identically(self, tmp_path):
+        cfg, head, rows = self._synth(tmp_path)
+        order = np.random.default_rng(5).permutation(len(rows))
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join(head + [rows[i] for i in order]) + "\n")
+        d1, d2 = tmp_path / "i1", tmp_path / "i2"
+        for obs, d in ((tmp_path / "out" / "observations.csv", d1), (shuffled, d2)):
+            assert main(["invert", "--config", cfg, "--obs", str(obs), "--out", str(d)]) == 0
+        assert filecmp.cmp(d1 / "inversion.csv", d2 / "inversion.csv", shallow=False)
+
+    def _u0_file(self, tmp_path, x, cells=None):
+        path = tmp_path / "u0.csv"
+        cells = cells or [repr(v) for v in (x * (np.pi - x)).tolist()]
+        path.write_text("x,u0\n" + "".join(f"{xv!r},{c}\n" for xv, c in zip(x.tolist(), cells)))
+        text = TWIN_CFG.replace("model.u0 = parabola", f"model.u0 = file:{path}")
+        return write_cfg(tmp_path, text), path
+
+    def test_u0_file_profile(self, tmp_path):
+        x = np.linspace(0.0, np.pi, 33)
+        cfg, _ = self._u0_file(tmp_path, x)
+        assert np.array_equal(RunConfig.load(cfg).u0_profile(), x * (np.pi - x))
+        assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_u0_file_non_numeric_exit_2(self, tmp_path, capsys):
+        x = np.linspace(0.0, np.pi, 33)
+        cells = [repr(v) for v in (x * (np.pi - x)).tolist()]
+        cells[5] = "abc"
+        cfg, path = self._u0_file(tmp_path, x, cells)
+        assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_u0_file_off_grid_exit_2(self, tmp_path, capsys):
+        # valid samples of x (pi - x), but listed against x in [0, pi/2]
+        x = np.linspace(0.0, np.pi, 33)
+        cells = [repr(v) for v in (x * (np.pi - x)).tolist()]
+        cfg, path = self._u0_file(tmp_path, x / 2, cells)
+        assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_default_scan_grid_below_star(self, tmp_path):
+        text = TWIN_CFG.replace("model.alpha_coeffs = 0.3, 0.2", "model.alpha_coeffs = 0.3")
+        text = text.replace("model.alpha_star = 0.95", "model.alpha_star = 0.5")
+        cfg = write_cfg(tmp_path, text.replace("scan.c0_grid = 0.3, 0.5, 0.7\n", ""))
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
 
 
 class TestDeterminism:

@@ -124,6 +124,19 @@ class TestConfigParsing:
         cfg2 = RunConfig.from_text(BASE + "mesh.r = 1.0\n")
         assert cfg2.mesh_r == 1.0
 
+    def test_scan_grid_above_star_rejected_at_load(self):
+        with pytest.raises(ConfigError, match="scan.c0_grid"):
+            RunConfig.from_text(BASE + "scan.c0_grid = 0.3, 0.99\n")
+
+    def test_default_scan_grid_within_star(self):
+        text = BASE.replace("model.alpha_coeffs = 0.3, 0.2", "model.alpha_coeffs = 0.3")
+        cfg = RunConfig.from_text(text.replace("alpha_star = 0.95", "alpha_star = 0.5"))
+        assert len(cfg.scan_c0_grid) == 17
+        assert 0.0 <= min(cfg.scan_c0_grid) and max(cfg.scan_c0_grid) <= 0.5
+        # at alpha_star >= 0.9 the default stays linspace(0.1, 0.9, 17)
+        wide = RunConfig.from_text(BASE)
+        assert wide.scan_c0_grid == tuple(np.linspace(0.1, 0.9, 17).tolist())
+
     def test_domain_objects(self):
         cfg = RunConfig.from_text(BASE)
         assert isinstance(cfg.order_function(), OrderFunction)
@@ -159,6 +172,17 @@ def _small_field():
         u0=lambda x: np.asarray(x) * (np.pi - np.asarray(x)),
     )
     return solve_forward(spec, TimeMesh(1.0, 16, 2.0), 3)
+
+
+def _small_observations():
+    spec = ModelSpec(
+        K=1.0, L=np.pi, T=1.0, k_coeffs=(1.0,),
+        alpha=OrderFunction((0.3,), 0.9, 1.0),
+        u0=lambda x: np.asarray(x) * (np.pi - np.asarray(x)),
+    )
+    return synthesize_observations(
+        spec, (0.2 * np.pi, 0.8 * np.pi), 5, 8, 1e-3, 37, refine=4, n_modes=3
+    )
 
 
 class TestCsvRoundTrips:
@@ -205,14 +229,7 @@ class TestCsvRoundTrips:
         assert gamma == 1.5 and ratio == 0.987654321012345678
 
     def test_observations(self, tmp_path):
-        spec = ModelSpec(
-            K=1.0, L=np.pi, T=1.0, k_coeffs=(1.0,),
-            alpha=OrderFunction((0.3,), 0.9, 1.0),
-            u0=lambda x: np.asarray(x) * (np.pi - np.asarray(x)),
-        )
-        obs = synthesize_observations(
-            spec, (0.2 * np.pi, 0.8 * np.pi), 5, 8, 1e-3, 37, refine=4, n_modes=3
-        )
+        obs = _small_observations()
         path = tmp_path / "observations.csv"
         csvio.write_observations_csv(path, obs)
         back = csvio.read_observations_csv(path)
@@ -223,6 +240,32 @@ class TestCsvRoundTrips:
         assert back.seed == obs.seed and back.noise_level == obs.noise_level
         assert back.synthesis_mesh == obs.synthesis_mesh
         assert back.inversion_mesh == obs.inversion_mesh
+
+    def _observation_lines(self, tmp_path):
+        csvio.write_observations_csv(tmp_path / "observations.csv", _small_observations())
+        lines = (tmp_path / "observations.csv").read_text().splitlines()
+        head = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 1
+        return lines[:head], lines[head:]
+
+    def test_observations_any_row_order(self, tmp_path):
+        head, rows = self._observation_lines(tmp_path)
+        canonical = csvio.read_observations_csv(tmp_path / "observations.csv")
+        shuffled = tmp_path / "shuffled.csv"
+        order = np.random.default_rng(3).permutation(len(rows))
+        shuffled.write_text("\n".join(head + [rows[i] for i in order]) + "\n")
+        back = csvio.read_observations_csv(shuffled)
+        assert np.array_equal(back.x_points, canonical.x_points)
+        assert np.array_equal(back.t_points, canonical.t_points)
+        assert np.array_equal(back.values, canonical.values)
+
+    @pytest.mark.parametrize("edit", ["missing", "repeated", "header_only"])
+    def test_observations_incomplete_grid_rejected(self, tmp_path, edit):
+        head, rows = self._observation_lines(tmp_path)
+        rows = {"missing": rows[1:], "repeated": rows + rows[:1], "header_only": []}[edit]
+        path = tmp_path / "broken.csv"
+        path.write_text("\n".join(head + rows) + "\n")
+        with pytest.raises(ValueError, match="exactly once|data row"):
+            csvio.read_observations_csv(path)
 
     def test_inversion(self, tmp_path):
         res = InversionResult(
@@ -241,6 +284,13 @@ class TestCsvRoundTrips:
         hist_path = tmp_path / "residual_history.csv"
         csvio.write_residual_history_csv(hist_path, res.residual_history)
         assert csvio.read_residual_history_csv(hist_path) == res.residual_history
+
+    @pytest.mark.parametrize("rows", ["1,0.2\n1,0.3\n", "0,0.2\n2,0.3\n"])
+    def test_inversion_indices_each_once(self, tmp_path, rows):
+        path = tmp_path / "inversion.csv"
+        path.write_text("coeff_index,value\n" + rows)
+        with pytest.raises(ValueError, match="coeff_index"):
+            csvio.read_inversion_csv(path)
 
     def test_scan(self, tmp_path):
         scan = ScanResult(
