@@ -20,6 +20,12 @@ from .forward import solve_forward, stability_ratio
 from .inverse import recover_order, synthesize_observations, uniqueness_scan
 
 
+def _seed(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="vordiff",
@@ -37,7 +43,7 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=_seed, default=None, help="seed override")
         if name == "invert":
             p.add_argument("--obs", required=True, help="observations.csv to invert")
     return parser

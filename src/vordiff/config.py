@@ -180,6 +180,15 @@ class RunConfig:
                 f"[0, {MAX_NOISE_LEVEL}]",
                 path,
             )
+        for key, ok, rule in (
+            ("observation.x_count", self.obs_x_count >= 1, ">= 1"),
+            ("output.x_count", self.out_x_count >= 1, ">= 1"),
+            ("run.seed", self.seed >= 0, ">= 0"),
+            ("diagnostics.gamma", self.diag_gamma >= 0.0, ">= 0"),
+            ("diagnostics.fit_lo", 0.0 < self.diag_fit_lo < self.diag_fit_hi, "in (0, fit_hi)"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}", path)
         if not self.u0.startswith("file:"):  # a file is read and checked once, on use
             try:
                 self.u0_profile()
@@ -199,8 +208,8 @@ class RunConfig:
     def order_function(self) -> OrderFunction:
         return OrderFunction(self.alpha_coeffs, self.alpha_star, self.T)
 
-    def time_mesh(self, M=None) -> TimeMesh:
-        return TimeMesh(self.T, self.mesh_M if M is None else M, self.mesh_r)
+    def time_mesh(self) -> TimeMesh:
+        return TimeMesh(self.T, self.mesh_M, self.mesh_r)
 
     def u0_profile(self):
         if self.u0 == "parabola":

@@ -11,9 +11,10 @@ in the Dirichlet sine basis decouples it into one scalar problem per mode:
 Every mode follows the same first-order implicit scheme: backward
 difference for u', the L1 history sum for the Caputo term with the
 current-step weight moved to the implicit side, and k, alpha frozen at
-the new node.  step_modes advances all modes together, so the weights and
-the order and k values are computed once per node, not once per mode.
-Cost is O(M^2) for the weights plus O(M^2) per mode for the history sums.
+the new node.  step_modes advances all modes together with one L1 weight
+row per node: its last entry is the implicit weight and the rest feed the
+history sum, and nothing is precomputed per (mode, node).  Cost is O(M^2)
+for the weights plus O(M^2) per mode for the history sums.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fracops import OrderFunction, TimeMesh, l1_diagonal_weights, l1_weights, polyval
+from .fracops import OrderFunction, TimeMesh, l1_weights, polyval
 from .spectral import (
     SpectralBasis,
     SpectralCoefficients,
@@ -135,10 +136,11 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None) -> np.ndarray:
 
         u_n (1/h_n + k_n w_nn + lam) = u_{n-1} (1/h_n + k_n w_nn) - k_n H_n + f_n
 
-    with w the L1 weights at order a_n and H_n the explicit part of the
-    history sum.  For k >= 0, lam > 0 the step coefficient is strictly
-    positive, making the scheme unconditionally stable.  Returns u_i(t_n)
-    as an (N, M+1) array.
+    with w the L1 weight row of node n at order a_n, w_nn its last entry,
+    and H_n the explicit part of the history sum.  For k >= 0, lam > 0 the
+    step coefficient is strictly positive, making the scheme unconditionally
+    stable; otherwise the first node and mode where it is not are reported
+    before that node is stepped.  Returns u_i(t_n) as an (N, M+1) array.
 
     The history sum runs row by row, so a mode's trajectory is bitwise the
     same whichever other modes share the call.
@@ -146,25 +148,26 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0):
         raise DomainError(f"eigenvalue must be positive, got {lam[lam <= 0.0][0]}")
-    t = mesh.nodes
-    diag = 1.0 / mesh.spacing + k[1:] * l1_diagonal_weights(mesh, a)
-    denom = diag + lam[:, None]
-    ok = np.isfinite(denom) & (denom > 0.0)
-    if not ok.all():
-        n, i = np.argwhere(~ok.T)[0]
-        raise NumericalError(
-            f"non-invertible step coefficient {denom[i, n]:.6g} at node {n + 1} "
-            f"(t = {t[n + 1]:.6g}, k = {k[n + 1]:.6g}, lam = {lam[i]:.6g}, "
-            f"alpha = {a[n + 1]:.6g}); the scheme requires k >= 0 and lam > 0"
-        )
-    f = np.zeros((lam.size, mesh.M + 1)) if forcing is None else forcing
+    # per-node scalars as Python floats: cheaper than numpy scalars, same arithmetic
+    lam_min, kn = float(lam.min()), np.asarray(k).tolist()
+    inv_h = (1.0 / mesh.spacing).tolist()
     u = np.empty((lam.size, mesh.M + 1))
     du = np.empty((lam.size, mesh.M))  # increments u_j - u_{j-1}
     u[:, 0] = u0
     for n in range(1, mesh.M + 1):
         w = l1_weights(mesh, n, a[n])
-        hist = np.einsum("ij,j->i", du[:, : n - 1], w[: n - 1])
-        u[:, n] = (u[:, n - 1] * diag[n - 1] - k[n] * hist + f[:, n]) / denom[:, n - 1]
+        d = inv_h[n - 1] + kn[n] * float(w[-1])
+        if not 0.0 < d + lam_min < np.inf:  # false for NaN too
+            i = np.argmin(np.isfinite(d + lam) & (d + lam > 0.0))  # first failing mode
+            raise NumericalError(
+                f"non-invertible step coefficient {d + lam[i]:.6g} at node {n} "
+                f"(t = {mesh.nodes[n]:.6g}, k = {k[n]:.6g}, lam = {lam[i]:.6g}, "
+                f"alpha = {a[n]:.6g}); the scheme requires k >= 0 and lam > 0"
+            )
+        rhs = u[:, n - 1] * d - kn[n] * np.einsum("ij,j->i", du[:, : n - 1], w[:-1])
+        if forcing is not None:
+            rhs += forcing[:, n]
+        u[:, n] = rhs / (d + lam)
         du[:, n - 1] = u[:, n] - u[:, n - 1]
     if not np.all(np.isfinite(u)):
         raise NumericalError("trajectory contains non-finite values")

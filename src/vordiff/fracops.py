@@ -214,17 +214,6 @@ def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
     return (p[:-1] - p[1:]) / (gamma(2.0 - alpha_n) * mesh.spacing[:n])
 
 
-def l1_diagonal_weights(mesh: TimeMesh, a) -> np.ndarray:
-    """Current-step weights w_n of l1_weights(mesh, n, a[n]) for n = 1..M.
-
-    a holds the order at every node t_0..t_M.  w_n = h_n^(1-a) /
-    (Gamma(2-a) h_n), which is exactly 1 at a = 0.
-    """
-    a = np.asarray(a, dtype=float)[1:]
-    h = mesh.spacing
-    return h ** (1.0 - a) / (gamma(2.0 - a) * h)
-
-
 def frac_integral_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
     """Variable-order fractional integral of g at node n.
 

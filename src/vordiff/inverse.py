@@ -79,7 +79,7 @@ class InversionConfig:
     tikhonov: float = 0.0
     alpha_star: float = 0.95
     n_modes: int = 8
-    init_coeffs: tuple | None = None
+    init_coeffs: tuple = (0.5,)
 
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:
@@ -88,7 +88,7 @@ class InversionConfig:
             raise DomainError(f"ansatz degree {self.degree} outside 0..{MAX_ORDER_DEGREE}")
         if self.tikhonov < 0.0:
             raise DomainError("tikhonov weight must be >= 0")
-        if self.init_coeffs is not None and np.size(self.init_coeffs) > self.degree + 1:
+        if np.size(self.init_coeffs) > self.degree + 1:
             raise DomainError(
                 f"initial guess has {np.size(self.init_coeffs)} coefficients but the "
                 f"ansatz degree is {self.degree}"
@@ -279,9 +279,9 @@ def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
 def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig) -> InversionResult:
     """Projected Gauss-Newton over the polynomial order coefficients.
 
-    Minimizes |residual|^2 + tikhonov |c - c_prior|^2 from a constant-0.5
-    start (unless configured), halving steps that do not decrease the
-    objective and projecting every iterate into the admissible bounds
+    Minimizes |residual|^2 + tikhonov |c - c_prior|^2 from init_coeffs
+    padded with zeros, halving steps that do not decrease the objective
+    and projecting every iterate into the admissible bounds
     with project_admissible, the exact check that OrderFunction applies.
     Each trial step is solved once; the Jacobian at the accepted iterate
     reuses that trajectory.  stop_reason records why the loop ended:
@@ -299,10 +299,7 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
             "(no mode coefficient above threshold)"
         )
     c = np.zeros(config.degree + 1)
-    if config.init_coeffs is not None:
-        c[: np.size(config.init_coeffs)] = config.init_coeffs
-    else:
-        c[0] = 0.5
+    c[: np.size(config.init_coeffs)] = config.init_coeffs
     c = project_admissible(c, model.T, config.alpha_star)
     prior = c.copy()
     mu = config.tikhonov
@@ -360,10 +357,8 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     )
 
 
-def uniqueness_scan(obs: ObservationSet, model: ModelSpec, grid, config: InversionConfig | None = None) -> ScanResult:
+def uniqueness_scan(obs: ObservationSet, model: ModelSpec, grid, config: InversionConfig) -> ScanResult:
     """Misfit of every candidate coefficient vector; identifies the argmin."""
-    if config is None:
-        config = InversionConfig()
     candidates = [tuple(float(v) for v in np.atleast_1d(cand)) for cand in grid]
     if not candidates:
         raise DomainError("candidate grid is empty")

@@ -105,11 +105,9 @@ def analyze(basis: SpectralBasis, samples) -> SpectralCoefficients:
     return SpectralCoefficients(simpson(integrand, x=x, axis=0))
 
 
-def analyze_function(basis: SpectralBasis, fn, n_points=None) -> SpectralCoefficients:
+def analyze_function(basis: SpectralBasis, fn) -> SpectralCoefficients:
     """Sample fn on the default uniform grid and analyze."""
-    if n_points is None:
-        n_points = default_grid_points(basis.N)
-    x = np.linspace(0.0, basis.L, n_points)
+    x = np.linspace(0.0, basis.L, default_grid_points(basis.N))
     return analyze(basis, np.asarray(fn(x), dtype=float))
 
 

@@ -76,6 +76,13 @@ class TestForwardCommand:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["forward", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_negative_output_x_count_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, HEAT_CFG.replace("output.x_count = 9",
+                                                   "output.x_count = -1"))
+        assert main(["forward", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "output.x_count" in err and "Traceback" not in err
+
 
 class TestSynthInvertScanDiagnose:
     def test_full_workflow(self, tmp_path):
@@ -212,3 +219,11 @@ class TestDeterminism:
         assert main(["synth", "--config", cfg, "--out", str(d3), "--seed", "8"]) == 0
         assert filecmp.cmp(d1 / "observations.csv", d2 / "observations.csv", shallow=False)
         assert not filecmp.cmp(d1 / "observations.csv", d3 / "observations.csv", shallow=False)
+
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TWIN_CFG + "observation.noise_level = 0.001\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", cfg, "--out", str(tmp_path), "--seed", "-3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err

@@ -97,11 +97,21 @@ class TestConfigParsing:
             ("inversion.degree = 9\n", "ansatz degree 9"),
             ("inversion.tikhonov = -1\n", "tikhonov"),
             ("inversion.init = 0.5, 0.1, 0.1\n", "initial guess has 3 coefficients"),
+            ("output.x_count = -1\n", "output.x_count"),
+            ("output.x_count = 0\n", "output.x_count"),
+            ("observation.x_count = 0\n", "observation.x_count"),
+            ("diagnostics.gamma = -1\n", "diagnostics.gamma"),
+            ("diagnostics.fit_lo = -0.1\n", "diagnostics.fit_lo"),
+            ("diagnostics.fit_lo = 0.5\ndiagnostics.fit_hi = 0.2\n", "diagnostics.fit_lo"),
         ],
     )
     def test_inversion_values_checked_at_load(self, extra, match):
         with pytest.raises(ConfigError, match=match):
             RunConfig.from_text(BASE + extra)
+
+    def test_negative_seed_rejected_at_load(self):
+        with pytest.raises(ConfigError, match="run.seed"):
+            RunConfig.from_text(BASE.replace("run.seed = 42", "run.seed = -3"))
 
     def test_unknown_profile_rejected(self):
         text = BASE.replace("model.u0 = parabola", "model.u0 = wiggle")

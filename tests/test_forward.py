@@ -83,6 +83,14 @@ class TestSolveMode:
         with pytest.raises(NumericalError, match="step coefficient"):
             solve_mode(1.0, 1.0, spec, TimeMesh(1.0, 64, 1.0))
 
+    def test_step_failing_mid_mesh_reported_at_its_node(self):
+        # k(t) = 1e6 (1 - 2t) turns negative after t = 0.5 = t_32; the solve
+        # must stop at node 33 before any step divides by a negative coefficient
+        spec = ModelSpec(K=1.0, L=L, T=1.0, k_coeffs=(1e6, -2e6),
+                         alpha=OrderFunction((0.5,), 0.9, 1.0), u0=MODE1)
+        with pytest.raises(NumericalError, match="step coefficient .* at node 33 "):
+            solve_mode(1.0, 1.0, spec, TimeMesh(1.0, 64, 1.0))
+
     def test_needs_order(self):
         spec = spec_with(None)
         with pytest.raises(DomainError):
