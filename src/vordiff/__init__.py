@@ -56,7 +56,6 @@ from .inverse import (
 )
 from .spectral import (
     SpectralBasis,
-    SpectralCoefficients,
     analyze,
     analyze_function,
     eigenpair,
@@ -83,7 +82,6 @@ __all__ = [
     "SingularOrderError",
     "SolutionField",
     "SpectralBasis",
-    "SpectralCoefficients",
     "TimeMesh",
     "VordiffError",
     "analyze",

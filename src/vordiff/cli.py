@@ -14,7 +14,7 @@ import numpy as np
 
 from . import csvio
 from .config import RunConfig
-from .diagnostics import regularity_report
+from .diagnostics import MIN_FIT_SAMPLES, MIN_MESH_M, fit_window_mask, regularity_report
 from .errors import ConfigError, VordiffError
 from .forward import solve_forward, stability_ratio
 from .inverse import recover_order, synthesize_observations, uniqueness_scan
@@ -69,7 +69,7 @@ def run_forward(cfg: RunConfig, out_dir):
     xs = np.linspace(0.0, cfg.L, cfg.out_x_count)
     csvio.write_solution_csv(os.path.join(out_dir, "solution.csv"), field, xs)
     csvio.write_modes_csv(os.path.join(out_dir, "modes.csv"), field)
-    ratio = stability_ratio(field, field.initial_coefficients(), cfg.diag_gamma)
+    ratio = stability_ratio(field, cfg.diag_gamma)
     csvio.write_stability_csv(
         os.path.join(out_dir, "stability.csv"), cfg.diag_gamma, ratio
     )
@@ -93,12 +93,21 @@ def run_invert(cfg: RunConfig, obs_path, out_dir):
 
 
 def run_diagnose(cfg: RunConfig, out_dir):
+    # both rules hold for the config alone, so check them before solving
+    if cfg.mesh_M < MIN_MESH_M:
+        raise ConfigError(f"mesh.M must be >= {MIN_MESH_M} to diagnose, got {cfg.mesh_M}")
+    mesh = cfg.time_mesh()
+    window = (cfg.diag_fit_lo, cfg.diag_fit_hi)
+    inside = np.count_nonzero(fit_window_mask(mesh.nodes[1:-1], window))
+    if inside < MIN_FIT_SAMPLES:
+        raise ConfigError(
+            f"diagnostics.fit_lo..fit_hi holds {inside} interior mesh nodes, "
+            f"need >= {MIN_FIT_SAMPLES}"
+        )
     spec = cfg.model_spec()
-    field = solve_forward(spec, cfg.time_mesh(), cfg.basis_N)
+    field = solve_forward(spec, mesh, cfg.basis_N)
     alpha0 = spec.alpha.alpha0
-    report = regularity_report(
-        field, alpha0, cfg.diag_gamma, window=(cfg.diag_fit_lo, cfg.diag_fit_hi)
-    )
+    report = regularity_report(field, alpha0, cfg.diag_gamma, window=window)
     csvio.write_regularity_csv(
         os.path.join(out_dir, "regularity.csv"), report, alpha0
     )

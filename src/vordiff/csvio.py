@@ -53,7 +53,7 @@ def _read_table(path, dtype=float):
 
 def write_solution_csv(path, field, x_points):
     x = np.asarray(x_points, dtype=float)
-    vals = field.basis.design_matrix(x) @ field.coeff_matrix()
+    vals = field.basis.design_matrix(x) @ field.values
     xs = [fmt(v) for v in x]
     lines = ["t,x,u"]
     for n, t in enumerate(field.mesh.nodes):
@@ -69,10 +69,9 @@ def read_solution_csv(path):
 
 def write_modes_csv(path, field):
     lines = ["t,i,u_i"]
-    U = field.coeff_matrix()
     for n, t in enumerate(field.mesh.nodes):
         tn = fmt(t)
-        lines += [f"{tn},{i},{u!r}" for i, u in enumerate(U[:, n].tolist(), 1)]
+        lines += [f"{tn},{i},{u!r}" for i, u in enumerate(field.values[:, n].tolist(), 1)]
     _write_lines(path, lines)
 
 

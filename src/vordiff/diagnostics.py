@@ -16,9 +16,11 @@ import numpy as np
 
 from .errors import DomainError
 from .forward import SolutionField
+from .spectral import sobolev_norm
 
 SMOOTH_SLOPE_THRESHOLD = 0.1
 MIN_FIT_SAMPLES = 8
+MIN_MESH_M = 64  # mesh intervals needed to difference a field twice
 
 
 @dataclass
@@ -30,86 +32,73 @@ class RegularityReport:
     verdict: str  # "smooth" | "singular"
 
 
-def _second_differences(mesh, values_matrix):
-    """Three-point divided-difference d^2/dt^2 at interior nodes.
-
-    values_matrix has one row per mode; nodes may be non-uniformly spaced.
-    Returns an array of shape (n_modes, M-1) for nodes 1..M-1.
-    """
-    t = mesh.nodes
-    h1 = t[1:-1] - t[:-2]
-    h2 = t[2:] - t[1:-1]
-    u_prev = values_matrix[:, :-2]
-    u_mid = values_matrix[:, 1:-1]
-    u_next = values_matrix[:, 2:]
-    return 2.0 * (
-        u_prev / (h1 * (h1 + h2)) - u_mid / (h1 * h2) + u_next / (h2 * (h1 + h2))
-    )
-
-
 def second_derivative_norms(field: SolutionField, gamma: float):
     """Per interior node, |d^2 u/dt^2 (., t_n)|_gamma from second differences.
 
-    Returns a list of (t_n, norm) pairs for n = 1..M-1.  The field should
-    come from a graded mesh when the behavior near t = 0 is of interest.
+    The three-point divided differences allow non-uniform nodes; their
+    gamma-norms come from one sobolev_norm call.  Returns the arrays
+    (t, norms), both of shape (M-1,), for nodes n = 1..M-1.  The field
+    should come from a graded mesh when the behavior near t = 0 is of
+    interest, and needs M >= MIN_MESH_M.
     """
-    if field.mesh.M < 64:
+    if field.mesh.M < MIN_MESH_M:
         raise DomainError(
-            f"need a mesh with M >= 64 to difference twice, got M = {field.mesh.M}"
+            f"need a mesh with M >= {MIN_MESH_M} to difference twice, got M = {field.mesh.M}"
         )
-    dd2 = _second_differences(field.mesh, field.coeff_matrix())
-    lam = field.basis.eigenvalues()
-    norms = np.sqrt(((lam**gamma)[:, None] * dd2**2).sum(axis=0))
-    t = field.mesh.nodes[1:-1]
-    return list(zip(t.tolist(), norms.tolist()))
+    t, U = field.mesh.nodes, field.values
+    h1 = t[1:-1] - t[:-2]
+    h2 = t[2:] - t[1:-1]
+    dd2 = 2.0 * (
+        U[:, :-2] / (h1 * (h1 + h2)) - U[:, 1:-1] / (h1 * h2) + U[:, 2:] / (h2 * (h1 + h2))
+    )
+    return t[1:-1], sobolev_norm(field.basis, dd2, gamma)
 
 
-def fit_singularity_exponent(norms, window) -> float:
+def fit_window_mask(t, window):
+    """True where window[0] <= t <= window[1]: the samples a fit uses."""
+    return (window[0] <= t) & (t <= window[1])
+
+
+def fit_singularity_exponent(t, values, window) -> float:
     """Least-squares slope of ln(value) against ln(t) inside the window.
 
-    The slope estimates the exponent p in value ~ t^p near t = 0; the
-    model predicts p = -alpha(0).
+    t and values are matching arrays, such as the pair that
+    second_derivative_norms returns; one mask selects the samples with
+    t_lo <= t <= t_hi.  The slope estimates the exponent p in
+    value ~ t^p near t = 0; the model predicts p = -alpha(0).
     """
     t_lo, t_hi = window
     if not 0.0 < t_lo < t_hi:
         raise DomainError(f"degenerate fit window ({t_lo}, {t_hi})")
-    pts = [(t, v) for t, v in norms if t_lo <= t <= t_hi]
-    if len(pts) < MIN_FIT_SAMPLES:
-        raise DomainError(
-            f"only {len(pts)} samples inside the fit window, need >= {MIN_FIT_SAMPLES}"
-        )
-    t = np.asarray([p[0] for p in pts])
-    v = np.asarray([p[1] for p in pts])
+    t, v = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
+    inside = fit_window_mask(t, window)
+    count = np.count_nonzero(inside)
+    if count < MIN_FIT_SAMPLES:
+        raise DomainError(f"only {count} samples inside the fit window, need >= {MIN_FIT_SAMPLES}")
+    t, v = t[inside], v[inside]
     if np.any(v <= 0.0):
         raise DomainError("nonpositive norm values cannot be log-fitted")
     slope, _ = np.polyfit(np.log(t), np.log(v), 1)
     return float(slope)
 
 
-def weighted_cm_norm(field: SolutionField, mu: float, gamma: float, m: int = 2) -> float:
+def weighted_cm_norm(field: SolutionField, mu: float, gamma: float) -> float:
     """Discrete weighted norm: C^1 part plus sup_n t_n^(1-mu) |d^2 u/dt^2|_gamma.
 
     Finite under mesh refinement exactly when the second derivative blows up
     no faster than t^(mu-1); with mu = 1 - alpha(0) that is the predicted
-    initial-time behavior for alpha(0) > 0.
+    initial-time behavior for alpha(0) > 0.  The C^1 part takes the sup of
+    the field's and its first differences' gamma-norms; the second-derivative
+    part is second_derivative_norms.  Only second differences (m = 2) are
+    formed: higher-order differencing of singular data is out of scope.
     """
-    if m != 2:
-        raise DomainError("only m = 2 is supported; higher-order differencing "
-                          "of singular data is out of scope")
     if not 0.0 <= mu < 1.0:
         raise DomainError(f"weight exponent mu must lie in [0, 1), got {mu}")
-    lam = field.basis.eigenvalues()
-    U = field.coeff_matrix()
-    wgt = (lam**gamma)[:, None]
-
-    sup_u = np.sqrt((wgt * U**2).sum(axis=0)).max()
-    du = np.diff(U, axis=1) / field.mesh.spacing
-    sup_du = np.sqrt((wgt * du**2).sum(axis=0)).max()
+    U = field.values
+    sup_u = sobolev_norm(field.basis, U, gamma).max()
+    sup_du = sobolev_norm(field.basis, np.diff(U, axis=1) / field.mesh.spacing, gamma).max()
     c1_part = max(float(sup_u), float(sup_du))
-
-    dd2 = _second_differences(field.mesh, U)
-    norms2 = np.sqrt((wgt * dd2**2).sum(axis=0))
-    t_int = field.mesh.nodes[1:-1]
+    t_int, norms2 = second_derivative_norms(field, gamma)
     weighted = float((t_int ** (1.0 - mu) * norms2).max())
     return c1_part + weighted
 
@@ -130,13 +119,12 @@ def regularity_report(
     """
     if window is None:
         window = default_fit_window(field.mesh.T)
-    norms = second_derivative_norms(field, gamma)
-    in_window = [(t, v) for t, v in norms if window[0] <= t <= window[1]]
-    if any(v <= 0.0 for _, v in in_window):
+    t, norms = second_derivative_norms(field, gamma)
+    if np.any(norms[fit_window_mask(t, window)] <= 0.0):
         fitted = 0.0
         verdict = "smooth"
     else:
-        fitted = fit_singularity_exponent(norms, window)
+        fitted = fit_singularity_exponent(t, norms, window)
         verdict = "smooth" if abs(fitted) < SMOOTH_SLOPE_THRESHOLD else "singular"
     mu = 1.0 - alpha0 if alpha0 > 0.0 else 0.0
     weighted = weighted_cm_norm(field, mu, gamma)

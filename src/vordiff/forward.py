@@ -25,14 +25,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .fracops import OrderFunction, TimeMesh, l1_weights, polyval
-from .spectral import (
-    SpectralBasis,
-    SpectralCoefficients,
-    analyze,
-    analyze_function,
-    sobolev_norm,
-    synthesize,
-)
+from .spectral import SpectralBasis, analyze, analyze_function, sobolev_norm, synthesize
 
 
 def default_grading(alpha0: float) -> float:
@@ -89,7 +82,8 @@ class ModelSpec:
     def basis(self, N: int) -> SpectralBasis:
         return SpectralBasis(self.K, self.L, N)
 
-    def u0_coefficients(self, basis: SpectralBasis) -> SpectralCoefficients:
+    def u0_coefficients(self, basis: SpectralBasis) -> np.ndarray:
+        """u0's sine coefficients as an (N,) array."""
         if callable(self.u0):
             return analyze_function(basis, self.u0)
         return analyze(basis, np.asarray(self.u0, dtype=float))
@@ -114,16 +108,6 @@ class SolutionField:
                 f"coefficient array shape {self.values.shape} does not match "
                 f"N = {self.basis.N} modes on {self.mesh.M + 1} nodes"
             )
-
-    def coeff_matrix(self) -> np.ndarray:
-        """u_i(t_n) as an (N, M+1) array."""
-        return self.values
-
-    def coefficients_at(self, t_index: int) -> SpectralCoefficients:
-        return SpectralCoefficients(self.values[:, t_index].copy())
-
-    def initial_coefficients(self) -> SpectralCoefficients:
-        return self.coefficients_at(0)
 
 
 def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None) -> np.ndarray:
@@ -188,9 +172,9 @@ def solve_forward(spec: ModelSpec, mesh: TimeMesh, N: int) -> SolutionField:
     basis = spec.basis(N)
     c0 = spec.u0_coefficients(basis)
     a, k = spec.node_values(mesh)
-    u = step_modes(mesh, a, k, basis.eigenvalues(), c0.values)
-    total = float(np.linalg.norm(c0.values))
-    tail = abs(float(c0.values[-1])) / total if total > 0.0 else 0.0
+    u = step_modes(mesh, a, k, basis.eigenvalues(), c0)
+    total = float(np.linalg.norm(c0))
+    tail = abs(float(c0[-1])) / total if total > 0.0 else 0.0
     return SolutionField(basis, mesh, u, tail_ratio=tail)
 
 
@@ -199,18 +183,18 @@ def evaluate(field: SolutionField, x, t_index: int):
     if not 0 <= t_index <= field.mesh.M:
         raise DomainError(f"t_index {t_index} outside 0..{field.mesh.M}")
     scalar = np.isscalar(x)
-    out = synthesize(field.basis, field.coefficients_at(t_index), np.atleast_1d(x))
+    out = synthesize(field.basis, field.values[:, t_index], np.atleast_1d(x))
     return float(out[0]) if scalar else out
 
 
-def stability_ratio(
-    field: SolutionField, u0_coeffs: SpectralCoefficients, gamma: float
-) -> float:
-    """max_n |u(., t_n)|_gamma / |u0|_gamma, a monitored stability measure."""
-    denom = sobolev_norm(field.basis, u0_coeffs, gamma)
+def stability_ratio(field: SolutionField, gamma: float) -> float:
+    """max_n |u(., t_n)|_gamma / |u(., 0)|_gamma, a monitored stability measure.
+
+    Both norms come from sobolev_norm: the numerator from one call on the
+    whole (N, M+1) field, the denominator from a one-column call on the
+    initial coefficients field.values[:, 0].
+    """
+    denom = sobolev_norm(field.basis, field.values[:, 0], gamma)
     if denom == 0.0:
         raise DomainError("stability ratio undefined for a zero initial datum")
-    lam = field.basis.eigenvalues()
-    U = field.coeff_matrix()
-    norms = np.sqrt(((lam**gamma)[:, None] * U**2).sum(axis=0))
-    return float(norms.max() / denom)
+    return float(sobolev_norm(field.basis, field.values, gamma).max() / denom)

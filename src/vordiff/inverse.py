@@ -88,6 +88,10 @@ class InversionConfig:
             raise DomainError(f"ansatz degree {self.degree} outside 0..{MAX_ORDER_DEGREE}")
         if self.tikhonov < 0.0:
             raise DomainError("tikhonov weight must be >= 0")
+        if self.max_iter < 1:
+            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not self.gn_tolerance >= 0.0:
+            raise DomainError(f"gn_tolerance must be >= 0, got {self.gn_tolerance}")
         if np.size(self.init_coeffs) > self.degree + 1:
             raise DomainError(
                 f"initial guess has {np.size(self.init_coeffs)} coefficients but the "
@@ -163,7 +167,7 @@ def synthesize_observations(
     t_idx = refine * np.arange(1, t_count + 1)
     t_points = fine.nodes[t_idx]
     phi = field.basis.design_matrix(x_points)
-    values = phi @ field.coeff_matrix()[:, t_idx]
+    values = phi @ field.values[:, t_idx]
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
         values = values * (1.0 + noise_level * rng.standard_normal(values.shape))
@@ -223,7 +227,7 @@ class _Inversion:
         self.mesh = TimeMesh.from_nodes(np.concatenate(([0.0], obs.t_points)))
         basis = model.basis(config.n_modes)
         self.lam = basis.eigenvalues()
-        self.u0 = model.u0_coefficients(basis).values
+        self.u0 = model.u0_coefficients(basis)
         self.k = polyval(model.k_coeffs, self.mesh.nodes)
         self.phi = basis.design_matrix(obs.x_points)
 

@@ -55,18 +55,6 @@ class SpectralBasis:
         return np.sqrt(2.0 / self.L) * np.sin(np.outer(x, i * np.pi / self.L))
 
 
-@dataclass
-class SpectralCoefficients:
-    """Coefficients c_i = (v, phi_i) against the orthonormalized basis."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size < 1:
-            raise DomainError("coefficients must be a nonempty vector")
-
-
 def eigenpair(basis: SpectralBasis, i: int):
     """(lambda_i, phi_i) with lambda_i = K i^2 pi^2 / L^2 and phi_i(0) = phi_i(L) = 0."""
     return basis.eigenvalue(i), basis.eigenfunction(i)
@@ -77,8 +65,8 @@ def default_grid_points(N):
     return max(4 * N + 1, 8193)
 
 
-def analyze(basis: SpectralBasis, samples) -> SpectralCoefficients:
-    """Sine coefficients of samples on a uniform grid over [0, L].
+def analyze(basis: SpectralBasis, samples) -> np.ndarray:
+    """Sine coefficients c_i = (v, phi_i) of samples on a uniform grid over [0, L].
 
     The grid is inferred from the sample count (endpoints included) and
     must have at least 4N+1 points, an odd number of them so composite
@@ -102,38 +90,43 @@ def analyze(basis: SpectralBasis, samples) -> SpectralCoefficients:
         )
     x = np.linspace(0.0, basis.L, npts)
     integrand = samples[:, None] * basis.design_matrix(x)
-    return SpectralCoefficients(simpson(integrand, x=x, axis=0))
+    return simpson(integrand, x=x, axis=0)
 
 
-def analyze_function(basis: SpectralBasis, fn) -> SpectralCoefficients:
+def analyze_function(basis: SpectralBasis, fn) -> np.ndarray:
     """Sample fn on the default uniform grid and analyze."""
     x = np.linspace(0.0, basis.L, default_grid_points(basis.N))
     return analyze(basis, np.asarray(fn(x), dtype=float))
 
 
-def synthesize(basis: SpectralBasis, coeffs: SpectralCoefficients, x_points):
-    """Pointwise sum_i c_i phi_i(x)."""
-    if coeffs.values.size != basis.N:
-        raise DomainError(
-            f"coefficient count {coeffs.values.size} does not match basis N = {basis.N}"
-        )
+def synthesize(basis: SpectralBasis, coeffs, x_points):
+    """Pointwise sum_i c_i phi_i(x) for an (N,) coefficient vector."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape != (basis.N,):
+        raise DomainError(f"coefficient shape {c.shape} does not match basis N = {basis.N}")
     x = np.asarray(x_points, dtype=float)
     if x.size and (x.min() < 0.0 or x.max() > basis.L):
         raise DomainError(f"x points must lie in [0, {basis.L}]")
-    return basis.design_matrix(x) @ coeffs.values
+    return basis.design_matrix(x) @ c
 
 
-def sobolev_norm(basis: SpectralBasis, coeffs: SpectralCoefficients, gamma: float) -> float:
+def sobolev_norm(basis: SpectralBasis, coeffs, gamma: float):
     """Spectral Sobolev norm sqrt(sum_i lambda_i^gamma c_i^2).
 
-    gamma = 0 is the L2 norm by Parseval; gamma = 2 matches the L2 norm of
-    the second spatial derivative for boundary-compatible functions.
+    An (N,) coefficient vector gives a float; an (N, K) array gives one
+    norm per column as a (K,) array.  A column sum adds the modes in order
+    where the vector sum is pairwise, so from N = 8 on a column's norm may
+    differ from the one-column call in the last bit.  gamma = 0 is the L2 norm by Parseval; gamma = 2 matches the L2 norm of
+    the second spatial derivative for boundary-compatible functions.  This
+    is the library's one spectral norm: the stability ratio and the
+    regularity diagnostics all call it.
     """
     if gamma < 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if coeffs.values.size != basis.N:
-        raise DomainError(
-            f"coefficient count {coeffs.values.size} does not match basis N = {basis.N}"
-        )
-    lam = basis.eigenvalues()
-    return float(np.sqrt(np.sum(lam**gamma * coeffs.values**2)))
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim not in (1, 2) or c.shape[0] != basis.N:
+        raise DomainError(f"coefficient shape {c.shape} does not match basis N = {basis.N}")
+    weight = basis.eigenvalues() ** gamma
+    if c.ndim == 1:
+        return float(np.sqrt(np.sum(weight * c**2)))
+    return np.sqrt((weight[:, None] * c**2).sum(axis=0))

@@ -120,6 +120,26 @@ class TestSynthInvertScanDiagnose:
         assert row["expected_slope"] == -0.3
         assert row["verdict"] == "singular"
 
+    def test_diagnose_coarse_mesh_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TWIN_CFG.replace("mesh.M = 64", "mesh.M = 4"))
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "mesh.M" in err and "Traceback" not in err
+        assert not (tmp_path / "regularity.csv").exists()
+        # only diagnose differences the field twice
+        assert main(["forward", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def test_diagnose_fit_window_without_samples_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            TWIN_CFG.replace("mesh.M = 64", "mesh.M = 128")
+            + "diagnostics.fit_lo = 0.5\ndiagnostics.fit_hi = 0.51\n",
+        )
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "diagnostics.fit_lo" in err
+        assert not (tmp_path / "regularity.csv").exists()
+
     def test_invert_bad_inversion_key_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TWIN_CFG.replace("inversion.degree = 1",
                                                    "inversion.degree = 9"))

@@ -97,6 +97,8 @@ class TestConfigParsing:
             ("inversion.degree = 9\n", "ansatz degree 9"),
             ("inversion.tikhonov = -1\n", "tikhonov"),
             ("inversion.init = 0.5, 0.1, 0.1\n", "initial guess has 3 coefficients"),
+            ("inversion.max_iter = 0\n", "max_iter"),
+            ("inversion.gn_tolerance = -1\n", "gn_tolerance"),
             ("output.x_count = -1\n", "output.x_count"),
             ("output.x_count = 0\n", "output.x_count"),
             ("observation.x_count = 0\n", "observation.x_count"),
@@ -174,6 +176,12 @@ class TestReadme:
         }
         assert set(re.findall(r"`([\w.]+)`", listed)) == required
 
+    def test_library_example_recovers_order(self):
+        code = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        scope = {}
+        exec(code.group(1), scope)
+        assert np.allclose(scope["result"].coeffs, (0.3, 0.2), rtol=0.0, atol=1e-2)
+
 
 def _small_field():
     spec = ModelSpec(
@@ -203,7 +211,7 @@ class TestCsvRoundTrips:
         csvio.write_solution_csv(path, field, xs)
         t, x, u = csvio.read_solution_csv(path)
         assert t.size == 17 * 5
-        direct = field.basis.design_matrix(xs) @ field.coeff_matrix()
+        direct = field.basis.design_matrix(xs) @ field.values
         assert np.array_equal(u.reshape(17, 5), direct.T)
 
     def test_modes(self, tmp_path):
@@ -211,14 +219,14 @@ class TestCsvRoundTrips:
         path = tmp_path / "modes.csv"
         csvio.write_modes_csv(path, field)
         t, i, u = csvio.read_modes_csv(path)
-        assert np.array_equal(u.reshape(17, 3).T, field.coeff_matrix())
+        assert np.array_equal(u.reshape(17, 3).T, field.values)
         assert set(i.tolist()) == {1, 2, 3}
 
     def test_field_writers_match_per_cell_formatting(self, tmp_path):
         # graded mesh; x = L gives values of about 1e-16 from sin(i pi)
         field = _small_field()
         xs = np.linspace(0.0, np.pi, 9)
-        vals = field.basis.design_matrix(xs) @ field.coeff_matrix()
+        vals = field.basis.design_matrix(xs) @ field.values
         assert 0.0 < np.abs(vals[-1, 1:]).max() < 1e-14
         sol = ["t,x,u"]
         modes = ["t,i,u_i"]

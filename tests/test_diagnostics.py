@@ -35,7 +35,7 @@ class TestSecondDerivativeNorms:
         spec = ModelSpec(K=1.0, L=L, T=1.0, k_coeffs=(0.0,),
                          alpha=OrderFunction((0.5,), 0.9, 1.0), u0=MODE1)
         field = solve_forward(spec, TimeMesh(1.0, 2048, 1.0), 4)
-        norms = second_derivative_norms(field, 0.0)
+        norms = zip(*second_derivative_norms(field, 0.0))
         inside = [(t, v) for t, v in norms if 0.1 <= t <= 0.9]
         worst = max(abs(v - np.exp(-t)) / np.exp(-t) for t, v in inside)
         assert worst <= 0.05
@@ -45,13 +45,13 @@ class TestSecondDerivativeNorms:
                          alpha=OrderFunction((0.5,), 0.9, 1.0),
                          u0=lambda x: 0.0 * np.asarray(x))
         field = solve_forward(spec, TimeMesh(1.0, 128, 2.0), 4)
-        norms = second_derivative_norms(field, 0.0)
+        norms = zip(*second_derivative_norms(field, 0.0))
         assert all(v == 0.0 for _, v in norms)
 
     def test_blowup_like_predicted_power(self):
         field = run_field((0.5,), 0.9)
         norms = second_derivative_norms(field, 0.0)
-        slope = fit_singularity_exponent(norms, (1e-3, 1e-1))
+        slope = fit_singularity_exponent(*norms, (1e-3, 1e-1))
         assert slope == pytest.approx(-0.5, abs=0.1)
 
     def test_too_small_mesh_rejected(self):
@@ -63,36 +63,34 @@ class TestSecondDerivativeNorms:
 class TestFitExponent:
     def test_exact_power_data(self):
         t = np.geomspace(1e-4, 1e-1, 40)
-        data = list(zip(t.tolist(), (2.7 * t**-0.5).tolist()))
-        slope = fit_singularity_exponent(data, (1e-4, 1e-1))
+        slope = fit_singularity_exponent(t, 2.7 * t**-0.5, (1e-4, 1e-1))
         assert slope == pytest.approx(-0.5, abs=1e-6)
 
     def test_variable_order_run(self):
         # order 0.5 + t/4: the exponent is set by the order at t = 0
         field = run_field((0.5, 0.25), 0.95)
         norms = second_derivative_norms(field, 0.0)
-        slope = fit_singularity_exponent(norms, (1e-3, 1e-1))
+        slope = fit_singularity_exponent(*norms, (1e-3, 1e-1))
         assert slope == pytest.approx(-0.5, abs=0.1)
 
     def test_vanishing_initial_order_is_smooth(self):
         # alpha(t) = t/2: bounded second derivative, near-zero slope
         field = run_field((0.0, 0.5), 0.5)
         norms = second_derivative_norms(field, 0.0)
-        slope = fit_singularity_exponent(norms, (1e-3, 1e-1))
+        slope = fit_singularity_exponent(*norms, (1e-3, 1e-1))
         assert slope >= -0.1
 
     def test_window_needs_samples(self):
-        data = [(0.5, 1.0), (0.6, 1.0)]
+        data = ([0.5, 0.6], [1.0, 1.0])
         with pytest.raises(DomainError):
-            fit_singularity_exponent(data, (0.4, 0.7))
+            fit_singularity_exponent(*data, (0.4, 0.7))
         with pytest.raises(DomainError):
-            fit_singularity_exponent(data, (0.7, 0.4))
+            fit_singularity_exponent(*data, (0.7, 0.4))
 
     def test_nonpositive_values_rejected(self):
         t = np.geomspace(1e-3, 1e-1, 12)
-        data = [(tv, 0.0) for tv in t]
         with pytest.raises(DomainError):
-            fit_singularity_exponent(data, (1e-3, 1e-1))
+            fit_singularity_exponent(t, np.zeros_like(t), (1e-3, 1e-1))
 
 
 class TestWeightedNorm:
@@ -123,8 +121,6 @@ class TestWeightedNorm:
         field = run_field((0.5,), 0.9, M=128, r=2.0)
         with pytest.raises(DomainError):
             weighted_cm_norm(field, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            weighted_cm_norm(field, 0.5, 0.0, m=3)
 
 
 class TestRegularityReport:

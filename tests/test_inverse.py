@@ -46,7 +46,7 @@ class TestSynthesizeObservations:
         model = template().with_alpha(OrderFunction((0.3, 0.2), 0.95, 1.0))
         fine = solve_forward(model, TimeMesh(1.0, 256, default_grading(0.3)), 8)
         phi = fine.basis.design_matrix(obs.x_points)
-        expected = phi @ fine.coeff_matrix()[:, 4 * np.arange(1, 65)]
+        expected = phi @ fine.values[:, 4 * np.arange(1, 65)]
         assert np.array_equal(obs.values, expected)
 
     def test_deterministic_under_seed(self):
@@ -89,7 +89,7 @@ class TestExtractModes:
         ext = extract_modes(obs, SpectralBasis(1.0, L, 1), 1)
         model = template(u0=u0).with_alpha(OrderFunction((0.4,), 0.95, 1.0))
         fine = solve_forward(model, TimeMesh(1.0, 256, default_grading(0.4)), 1)
-        truth = fine.coeff_matrix()[:, 4 * np.arange(1, 65)]
+        truth = fine.values[:, 4 * np.arange(1, 65)]
         assert np.abs(ext.values - truth).max() <= 1e-8
 
     def test_four_modes_high_accuracy(self):
@@ -100,7 +100,7 @@ class TestExtractModes:
         ext = extract_modes(obs, basis, 4)
         model = template(u0=u0, T=0.5).with_alpha(OrderFunction((0.4,), 0.95, 0.5))
         fine = solve_forward(model, TimeMesh(0.5, 256, default_grading(0.4)), 4)
-        truth = fine.coeff_matrix()[:, 4 * np.arange(1, 65)]
+        truth = fine.values[:, 4 * np.arange(1, 65)]
         rel = np.abs(ext.values - truth) / np.abs(truth)
         assert rel.max() <= 1e-6
         assert ext.condition_number < 10.0
@@ -215,7 +215,7 @@ class TestJacobian:
 
         model = template().with_alpha(OrderFunction((0.3,), 0.95, 1.0))
         field = solve_forward(model, TimeMesh(1.0, 256, 2.0), 4)
-        traj = field.coeff_matrix()[0]
+        traj = field.values[0]
         assert traj[0] > 0
         g = SampledFunction(field.mesh, traj)
         for n in (1, 4, 16):

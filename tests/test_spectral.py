@@ -5,7 +5,6 @@ from scipy.integrate import quad, simpson
 from vordiff import (
     DomainError,
     SpectralBasis,
-    SpectralCoefficients,
     analyze,
     analyze_function,
     eigenpair,
@@ -54,21 +53,21 @@ class TestAnalyze:
         c = analyze_function(basis, phi2)
         expected = np.zeros(5)
         expected[1] = 1.0
-        assert np.abs(c.values - expected).max() <= 1e-8
+        assert np.abs(c - expected).max() <= 1e-8
 
     def test_zero(self):
         basis = SpectralBasis(1.0, 1.0, 3)
         c = analyze(basis, np.zeros(4 * 3 + 1 + 2))
-        assert np.all(c.values == 0.0)
+        assert np.all(c == 0.0)
 
     def test_parabola_coefficients(self):
         # int_0^1 x(1-x) sqrt(2) sin(i pi x) dx = 4 sqrt(2)/(i pi)^3 for odd i,
         # 0 for even i (sympy and adaptive quadrature agree).
         basis = SpectralBasis(1.0, 1.0, 3)
         c = analyze_function(basis, lambda x: x * (1 - x))
-        assert c.values[0] == pytest.approx(4 * np.sqrt(2) / np.pi**3, rel=1e-9)
-        assert abs(c.values[1]) <= 1e-12
-        assert c.values[2] == pytest.approx(4 * np.sqrt(2) / (27 * np.pi**3), rel=1e-9)
+        assert c[0] == pytest.approx(4 * np.sqrt(2) / np.pi**3, rel=1e-9)
+        assert abs(c[1]) <= 1e-12
+        assert c[2] == pytest.approx(4 * np.sqrt(2) / (27 * np.pi**3), rel=1e-9)
 
     def test_parabola_against_quadrature(self):
         basis = SpectralBasis(1.0, 1.0, 3)
@@ -80,7 +79,7 @@ class TestAnalyze:
                 1.0,
                 epsabs=1e-13,
             )
-            assert c.values[i - 1] == pytest.approx(oracle, abs=1e-10)
+            assert c[i - 1] == pytest.approx(oracle, abs=1e-10)
 
     def test_boundary_violation_rejected(self):
         basis = SpectralBasis(1.0, 1.0, 2)
@@ -115,9 +114,15 @@ class TestSynthesize:
 
     def test_rejects_out_of_domain_points(self):
         basis = SpectralBasis(1.0, 1.0, 2)
-        c = SpectralCoefficients(np.array([1.0, 0.0]))
+        c = np.array([1.0, 0.0])
         with pytest.raises(DomainError):
             synthesize(basis, c, [1.5])
+
+    def test_rejects_coefficients_not_shaped_n(self):
+        basis = SpectralBasis(1.0, 1.0, 3)
+        for bad in (np.ones((3, 1)), np.ones(4)):
+            with pytest.raises(DomainError, match="does not match basis N = 3"):
+                synthesize(basis, bad, [0.5])
 
 
 class TestSobolevNorm:
@@ -132,7 +137,7 @@ class TestSobolevNorm:
 
     def test_single_mode(self):
         basis = SpectralBasis(2.0, 1.5, 4)
-        c = SpectralCoefficients(np.array([1.0, 0.0, 0.0, 0.0]))
+        c = np.array([1.0, 0.0, 0.0, 0.0])
         lam1 = basis.eigenvalue(1)
         for g in (0.0, 1.0, 2.5):
             assert sobolev_norm(basis, c, g) == pytest.approx(lam1 ** (g / 2), rel=1e-13)
@@ -146,9 +151,22 @@ class TestSobolevNorm:
 
     def test_negative_gamma_rejected(self):
         basis = SpectralBasis(1.0, 1.0, 2)
-        c = SpectralCoefficients(np.array([1.0, 0.0]))
+        c = np.array([1.0, 0.0])
         with pytest.raises(DomainError):
             sobolev_norm(basis, c, -1.0)
+
+    def test_leading_dimension_must_be_n(self):
+        basis = SpectralBasis(1.0, 1.0, 3)
+        for bad in (np.ones(4), np.ones((2, 5)), np.ones((1, 3)), np.float64(1.0)):
+            with pytest.raises(DomainError, match="does not match basis N = 3"):
+                sobolev_norm(basis, bad, 1.0)
+
+    def test_columns_match_one_column_calls(self):
+        basis = SpectralBasis(1.0, np.pi, 16)
+        C = np.random.default_rng(3).standard_normal((16, 7))
+        for g in (0.0, 1.5):
+            one_by_one = [sobolev_norm(basis, C[:, j], g) for j in range(7)]
+            assert np.allclose(sobolev_norm(basis, C, g), one_by_one, rtol=1e-15, atol=0.0)
 
 
 def test_orthonormality_on_default_grid():
