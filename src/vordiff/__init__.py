@@ -58,7 +58,6 @@ from .spectral import (
     SpectralBasis,
     analyze,
     analyze_function,
-    eigenpair,
     sobolev_norm,
     synthesize,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "caputo_order_sensitivity",
     "caputo_vo",
     "default_grading",
-    "eigenpair",
     "evaluate",
     "extract_modes",
     "frac_integral_vo",

@@ -70,11 +70,15 @@ class RunConfig:
     obs_x_count: int = _key("observation.x_count", int, str, 16)
     noise_level: float = _key("observation.noise_level", float, _fmt_float, 0.0)
     synthesis_refine: int = _key("observation.synthesis_refine", int, str, 4)
-    inv_degree: int = _key("inversion.degree", int, str, 0)
-    inv_max_iter: int = _key("inversion.max_iter", int, str, 30)
-    inv_gn_tolerance: float = _key("inversion.gn_tolerance", float, _fmt_float, 1e-8)
-    inv_tikhonov: float = _key("inversion.tikhonov", float, _fmt_float, 0.0)
-    inv_init: tuple = _key("inversion.init", _parse_float_list, _fmt_float_list, (0.5,))
+    inv_degree: int = _key("inversion.degree", int, str, InversionConfig.degree)
+    inv_max_iter: int = _key("inversion.max_iter", int, str, InversionConfig.max_iter)
+    inv_gn_tolerance: float = _key(
+        "inversion.gn_tolerance", float, _fmt_float, InversionConfig.gn_tolerance
+    )
+    inv_tikhonov: float = _key("inversion.tikhonov", float, _fmt_float, InversionConfig.tikhonov)
+    inv_init: tuple = _key(
+        "inversion.init", _parse_float_list, _fmt_float_list, InversionConfig.init_coeffs
+    )
     diag_gamma: float = _key("diagnostics.gamma", float, _fmt_float, 0.0)
     diag_fit_lo: float = _key("diagnostics.fit_lo", float, _fmt_float, None)
     diag_fit_hi: float = _key("diagnostics.fit_hi", float, _fmt_float, None)
@@ -154,7 +158,7 @@ class RunConfig:
 
     def _validate(self, path):
         try:
-            self.order_function()
+            ModelSpec(self.K, self.L, self.T, self.k_coeffs, self.order_function(), u0=None)
             self.time_mesh()
             SpectralBasis(self.K, self.L, self.basis_N)
             self.inversion_config()
@@ -216,7 +220,11 @@ class RunConfig:
             L = self.L
             return lambda x: np.asarray(x) * (L - np.asarray(x))
         if self.u0.startswith("mode"):
-            return SpectralBasis(self.K, self.L, self.basis_N).eigenfunction(int(self.u0[4:]))
+            i = int(self.u0[4:])
+            if not 1 <= i <= self.basis_N:
+                raise DomainError(f"mode index {i} outside 1..{self.basis_N}")
+            basis = SpectralBasis(self.K, self.L, self.basis_N)
+            return lambda x: basis.design_matrix(x)[:, i - 1]
         if self.u0.startswith("file:"):
             return self._u0_samples(self.u0[5:])
         raise DomainError("use 'parabola', 'mode<i>' or 'file:PATH'")

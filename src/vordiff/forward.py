@@ -57,11 +57,13 @@ class ModelSpec:
     u0: object
 
     def __post_init__(self):
-        if self.K <= 0.0 or self.L <= 0.0 or self.T <= 0.0:
+        if not all(v > 0.0 and np.isfinite(v) for v in (self.K, self.L, self.T)):
             raise DomainError(
-                f"K, L, T must be positive, got ({self.K}, {self.L}, {self.T})"
+                f"K, L, T must be positive and finite, got ({self.K}, {self.L}, {self.T})"
             )
         self.k_coeffs = tuple(float(c) for c in self.k_coeffs)
+        if not np.isfinite(self.k_coeffs).all():
+            raise DomainError(f"k coefficients must be finite, got {self.k_coeffs}")
         if self.alpha is not None and self.alpha.T != self.T:
             raise DomainError(
                 f"order horizon {self.alpha.T} does not match model horizon {self.T}"

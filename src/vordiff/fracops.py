@@ -92,12 +92,12 @@ class TimeMesh:
 
     def __post_init__(self):
         if self.nodes is None:
-            if self.T <= 0.0:
-                raise DomainError(f"mesh horizon T must be positive, got {self.T}")
+            if not (self.T > 0.0 and np.isfinite(self.T)):
+                raise DomainError(f"mesh horizon T must be positive and finite, got {self.T}")
             if self.M < 1:
                 raise DomainError(f"mesh needs M >= 1 intervals, got {self.M}")
-            if self.r is None or self.r < 1.0:
-                raise DomainError(f"mesh grading r must be >= 1, got {self.r}")
+            if self.r is None or not (self.r >= 1.0 and np.isfinite(self.r)):
+                raise DomainError(f"mesh grading r must be finite and >= 1, got {self.r}")
             n = np.arange(self.M + 1, dtype=float)
             self.nodes = self.T * (n / self.M) ** self.r
         else:
@@ -146,8 +146,8 @@ class OrderFunction:
                 f"alpha_star must lie in (0, 1), got {self.alpha_star}: "
                 "the model requires 0 <= alpha(t) <= alpha_star < 1"
             )
-        if self.T <= 0.0:
-            raise DomainError(f"order horizon T must be positive, got {self.T}")
+        if not (self.T > 0.0 and np.isfinite(self.T)):
+            raise DomainError(f"order horizon T must be positive and finite, got {self.T}")
         lo, hi = order_range(self.coeffs, self.T)
         if lo < 0.0 or hi > self.alpha_star:
             raise DomainError(

@@ -86,12 +86,14 @@ class InversionConfig:
             raise DomainError(f"alpha_star must lie in (0, 1), got {self.alpha_star}")
         if not 0 <= self.degree <= MAX_ORDER_DEGREE:
             raise DomainError(f"ansatz degree {self.degree} outside 0..{MAX_ORDER_DEGREE}")
-        if self.tikhonov < 0.0:
-            raise DomainError("tikhonov weight must be >= 0")
+        if not (self.tikhonov >= 0.0 and np.isfinite(self.tikhonov)):
+            raise DomainError(f"tikhonov weight must be finite and >= 0, got {self.tikhonov}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.gn_tolerance >= 0.0:
             raise DomainError(f"gn_tolerance must be >= 0, got {self.gn_tolerance}")
+        if not np.isfinite(self.init_coeffs).all():
+            raise DomainError(f"initial guess must be finite, got {self.init_coeffs}")
         if np.size(self.init_coeffs) > self.degree + 1:
             raise DomainError(
                 f"initial guess has {np.size(self.init_coeffs)} coefficients but the "

@@ -1,8 +1,9 @@
-"""Dirichlet sine eigenpairs, series analysis/synthesis, and spectral norms.
+"""Dirichlet sine basis, series analysis/synthesis, and spectral norms.
 
 The basis is orthonormalized: phi_i(x) = sqrt(2/L) sin(i pi x / L), so
 analysis and synthesis are exact inverses on band-limited data and
-Parseval holds without stray L/2 factors.
+Parseval holds without stray L/2 factors.  SpectralBasis.eigenvalues()
+and .design_matrix(x) are the only places lambda_i and phi_i are written.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError
 
@@ -26,38 +26,23 @@ class SpectralBasis:
     N: int
 
     def __post_init__(self):
-        if self.K <= 0.0:
-            raise DomainError(f"diffusivity K must be positive, got {self.K}")
-        if self.L <= 0.0:
-            raise DomainError(f"domain length L must be positive, got {self.L}")
+        if not (self.K > 0.0 and np.isfinite(self.K)):
+            raise DomainError(f"diffusivity K must be positive and finite, got {self.K}")
+        if not (self.L > 0.0 and np.isfinite(self.L)):
+            raise DomainError(f"domain length L must be positive and finite, got {self.L}")
         if self.N < 1:
             raise DomainError(f"mode count N must be >= 1, got {self.N}")
 
-    def eigenvalue(self, i):
-        if not 1 <= i <= self.N:
-            raise DomainError(f"mode index {i} outside 1..{self.N}")
-        return self.K * (i * np.pi / self.L) ** 2
-
     def eigenvalues(self):
+        """lambda_i = K (i pi / L)^2 for i = 1..N, as an (N,) array."""
         i = np.arange(1, self.N + 1, dtype=float)
         return self.K * (i * np.pi / self.L) ** 2
 
-    def eigenfunction(self, i):
-        if not 1 <= i <= self.N:
-            raise DomainError(f"mode index {i} outside 1..{self.N}")
-        scale = np.sqrt(2.0 / self.L)
-        return lambda x: scale * np.sin(i * np.pi * np.asarray(x, dtype=float) / self.L)
-
     def design_matrix(self, x):
-        """phi_i(x_j) as an (len(x), N) array."""
+        """phi_i(x_j) as an (len(x), N) array; column i-1 holds mode i."""
         x = np.asarray(x, dtype=float)
         i = np.arange(1, self.N + 1, dtype=float)
         return np.sqrt(2.0 / self.L) * np.sin(np.outer(x, i * np.pi / self.L))
-
-
-def eigenpair(basis: SpectralBasis, i: int):
-    """(lambda_i, phi_i) with lambda_i = K i^2 pi^2 / L^2 and phi_i(0) = phi_i(L) = 0."""
-    return basis.eigenvalue(i), basis.eigenfunction(i)
 
 
 def default_grid_points(N):
@@ -70,8 +55,9 @@ def analyze(basis: SpectralBasis, samples) -> np.ndarray:
 
     The grid is inferred from the sample count (endpoints included) and
     must have at least 4N+1 points, an odd number of them so composite
-    Simpson applies.  Homogeneous Dirichlet data is required: the series
-    cannot represent nonzero boundary values.
+    Simpson applies: the weights (1, 4, 2, 4, ..., 2, 4, 1) dx/3 are
+    applied to the design matrix in one product.  Homogeneous Dirichlet
+    data is required: the series cannot represent nonzero boundary values.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1:
@@ -89,8 +75,9 @@ def analyze(basis: SpectralBasis, samples) -> np.ndarray:
             f"homogeneous Dirichlet condition beyond tolerance {BOUNDARY_TOL}"
         )
     x = np.linspace(0.0, basis.L, npts)
-    integrand = samples[:, None] * basis.design_matrix(x)
-    return simpson(integrand, x=x, axis=0)
+    w = np.where(np.arange(npts) % 2 == 1, 4.0, 2.0)
+    w[[0, -1]] = 1.0
+    return (w * samples) @ basis.design_matrix(x) * (basis.L / (npts - 1) / 3.0)
 
 
 def analyze_function(basis: SpectralBasis, fn) -> np.ndarray:
@@ -116,10 +103,11 @@ def sobolev_norm(basis: SpectralBasis, coeffs, gamma: float):
     An (N,) coefficient vector gives a float; an (N, K) array gives one
     norm per column as a (K,) array.  A column sum adds the modes in order
     where the vector sum is pairwise, so from N = 8 on a column's norm may
-    differ from the one-column call in the last bit.  gamma = 0 is the L2 norm by Parseval; gamma = 2 matches the L2 norm of
-    the second spatial derivative for boundary-compatible functions.  This
-    is the library's one spectral norm: the stability ratio and the
-    regularity diagnostics all call it.
+    differ from the one-column call in the last bit.  gamma = 0 is the L2
+    norm by Parseval; gamma = 2 matches the L2 norm of the second spatial
+    derivative for boundary-compatible functions.  This is the library's
+    one spectral norm: the stability ratio and the regularity diagnostics
+    all call it.
     """
     if gamma < 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")

@@ -105,11 +105,37 @@ class TestConfigParsing:
             ("diagnostics.gamma = -1\n", "diagnostics.gamma"),
             ("diagnostics.fit_lo = -0.1\n", "diagnostics.fit_lo"),
             ("diagnostics.fit_lo = 0.5\ndiagnostics.fit_hi = 0.2\n", "diagnostics.fit_lo"),
+            ("inversion.tikhonov = nan\n", "tikhonov weight must be finite"),
+            ("inversion.tikhonov = inf\n", "tikhonov weight must be finite"),
+            ("inversion.init = nan\n", "initial guess must be finite"),
+            ("mesh.r = nan\n", "mesh grading r must be finite"),
         ],
     )
     def test_inversion_values_checked_at_load(self, extra, match):
         with pytest.raises(ConfigError, match=match):
             RunConfig.from_text(BASE + extra)
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("model.K = 1.0", "model.K = nan", "K, L, T must be positive and finite"),
+            ("model.K = 1.0", "model.K = inf", "K, L, T must be positive and finite"),
+            ("model.L = 3.141592653589793", "model.L = nan", "K, L, T must be positive and finite"),
+            ("model.L = 3.141592653589793", "model.L = inf", "K, L, T must be positive and finite"),
+            ("model.T = 1.0", "model.T = nan", "order horizon T must be positive and finite"),
+            ("model.T = 1.0", "model.T = inf", "order horizon T must be positive and finite"),
+            ("model.k_coeffs = 1.0", "model.k_coeffs = nan", "k coefficients must be finite"),
+            ("model.k_coeffs = 1.0", "model.k_coeffs = inf", "k coefficients must be finite"),
+        ],
+    )
+    def test_non_finite_model_values_checked_at_load(self, old, new, match):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_text(BASE.replace(old, new))
+
+    @pytest.mark.parametrize("profile", ["mode0", "mode5", "mode-1"])
+    def test_mode_index_outside_basis_rejected(self, profile):
+        with pytest.raises(ConfigError, match="u0 profile"):
+            RunConfig.from_text(BASE.replace("model.u0 = parabola", f"model.u0 = {profile}"))
 
     def test_negative_seed_rejected_at_load(self):
         with pytest.raises(ConfigError, match="run.seed"):
@@ -126,9 +152,9 @@ class TestConfigParsing:
         u0 = cfg.u0_profile()
         x = np.linspace(0, cfg.L, 7)
         assert np.allclose(u0(x), np.sqrt(2 / cfg.L) * np.sin(2 * x))
-        mode2 = SpectralBasis(cfg.K, cfg.L, cfg.basis_N).eigenfunction(2)
         dense = np.linspace(0, cfg.L, 1001)
-        assert np.array_equal(u0(dense), mode2(dense))
+        mode2 = SpectralBasis(cfg.K, cfg.L, cfg.basis_N).design_matrix(dense)[:, 1]
+        assert np.array_equal(u0(dense), mode2)
 
     def test_grading_auto_vs_explicit(self):
         cfg = RunConfig.from_text(BASE + "mesh.r = auto\n".replace("mesh.r = auto", ""))

@@ -56,6 +56,9 @@ class TestTimeMesh:
             TimeMesh(1.0, 10, 0.5)
         with pytest.raises(DomainError):
             TimeMesh(-1.0, 10, 1.0)
+        for T, r in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                TimeMesh(T, 10, r)
 
 
 class TestOrderFunction:
@@ -88,6 +91,9 @@ class TestOrderFunction:
         for bad in ((float("nan"),), (0.3, float("inf"))):
             with pytest.raises(DomainError, match="finite"):
                 OrderFunction(bad, 0.95, 1.0)
+        for T in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="horizon T must be positive and finite"):
+                OrderFunction((0.5,), 0.95, T)
 
     def test_degree_cap(self):
         with pytest.raises(DomainError, match="degree"):

@@ -1,13 +1,18 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
+import vordiff
 from vordiff import (
     DomainError,
     SpectralBasis,
     analyze,
     analyze_function,
-    eigenpair,
     sobolev_norm,
     synthesize,
 )
@@ -16,15 +21,17 @@ from vordiff.spectral import default_grid_points
 
 class TestEigenpairs:
     def test_example_k1_lpi(self):
-        lam, phi = eigenpair(SpectralBasis(1.0, np.pi, 8), 3)
+        basis = SpectralBasis(1.0, np.pi, 8)
+        lam = basis.eigenvalues()[2]
+        phi = basis.design_matrix([0.0, np.pi])[:, 2]
         assert lam == pytest.approx(9.0, rel=1e-14)
-        assert phi(0.0) == pytest.approx(0.0, abs=1e-14)
-        assert phi(np.pi) == pytest.approx(0.0, abs=1e-12)
+        assert phi[0] == pytest.approx(0.0, abs=1e-14)
+        assert phi[1] == pytest.approx(0.0, abs=1e-12)
         x = np.linspace(0, np.pi, 7)
-        assert np.allclose(phi(x), np.sqrt(2 / np.pi) * np.sin(3 * x))
+        assert np.allclose(basis.design_matrix(x)[:, 2], np.sqrt(2 / np.pi) * np.sin(3 * x))
 
     def test_example_k2_l1(self):
-        lam, _ = eigenpair(SpectralBasis(2.0, 1.0, 4), 1)
+        lam = SpectralBasis(2.0, 1.0, 4).eigenvalues()[0]
         assert lam == pytest.approx(2.0 * np.pi**2, rel=1e-14)
 
     def test_eigen_residual_by_finite_differences(self):
@@ -32,8 +39,8 @@ class TestEigenpairs:
         x = np.linspace(0.0, 1.0, 20001)
         h = x[1] - x[0]
         for i in (1, 4, 6):
-            lam, phi = eigenpair(basis, i)
-            v = phi(x)
+            lam = basis.eigenvalues()[i - 1]
+            v = basis.design_matrix(x)[:, i - 1]
             resid = -(v[:-2] - 2 * v[1:-1] + v[2:]) / h**2 - lam * v[1:-1]
             assert np.abs(resid).max() <= 1e-4 * max(1.0, lam)
 
@@ -41,16 +48,16 @@ class TestEigenpairs:
         lam = SpectralBasis(0.7, 2.0, 16).eigenvalues()
         assert np.all(np.diff(lam) > 0)
 
-    def test_bad_index(self):
-        with pytest.raises(DomainError):
-            SpectralBasis(1.0, 1.0, 4).eigenvalue(5)
+    @pytest.mark.parametrize("K, L", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_k_or_l_rejected(self, K, L):
+        with pytest.raises(DomainError, match="positive and finite"):
+            SpectralBasis(K, L, 4)
 
 
 class TestAnalyze:
     def test_pure_mode_roundtrip(self):
         basis = SpectralBasis(1.0, 1.0, 5)
-        _, phi2 = eigenpair(basis, 2)
-        c = analyze_function(basis, phi2)
+        c = analyze_function(basis, lambda x: basis.design_matrix(x)[:, 1])
         expected = np.zeros(5)
         expected[1] = 1.0
         assert np.abs(c - expected).max() <= 1e-8
@@ -97,6 +104,22 @@ class TestAnalyze:
         with pytest.raises(DomainError, match="odd"):
             analyze(basis, np.zeros(12))
 
+    @pytest.mark.parametrize("N", [2, 8, 16])
+    @pytest.mark.parametrize("profile", ["parabola", "pure_mode", "random_band"])
+    def test_simpson_weights_match_scipy_simpson(self, N, profile):
+        basis = SpectralBasis(1.3, np.pi, N)
+        x = np.linspace(0.0, basis.L, default_grid_points(N))
+        G = basis.design_matrix(x)
+        if profile == "parabola":
+            samples = x * (basis.L - x)
+        elif profile == "pure_mode":
+            samples = G[:, N // 2]
+        else:
+            samples = G @ np.random.default_rng(N).standard_normal(N)
+        c = analyze(basis, samples)
+        oracle = simpson(samples[:, None] * G, x=x, axis=0)
+        assert np.abs(c - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
 
 class TestSynthesize:
     def test_roundtrips(self):
@@ -138,7 +161,7 @@ class TestSobolevNorm:
     def test_single_mode(self):
         basis = SpectralBasis(2.0, 1.5, 4)
         c = np.array([1.0, 0.0, 0.0, 0.0])
-        lam1 = basis.eigenvalue(1)
+        lam1 = basis.eigenvalues()[0]
         for g in (0.0, 1.0, 2.5):
             assert sobolev_norm(basis, c, g) == pytest.approx(lam1 ** (g / 2), rel=1e-13)
 
@@ -167,6 +190,16 @@ class TestSobolevNorm:
         for g in (0.0, 1.5):
             one_by_one = [sobolev_norm(basis, C[:, j], g) for j in range(7)]
             assert np.allclose(sobolev_norm(basis, C, g), one_by_one, rtol=1e-15, atol=0.0)
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    code = "import sys, vordiff.cli; print('scipy.integrate' in sys.modules)"
+    src = pathlib.Path(vordiff.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_orthonormality_on_default_grid():
