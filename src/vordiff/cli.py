@@ -106,11 +106,8 @@ def run_diagnose(cfg: RunConfig, out_dir):
         )
     spec = cfg.model_spec()
     field = solve_forward(spec, mesh, cfg.basis_N)
-    alpha0 = spec.alpha.alpha0
-    report = regularity_report(field, alpha0, cfg.diag_gamma, window=window)
-    csvio.write_regularity_csv(
-        os.path.join(out_dir, "regularity.csv"), report, alpha0
-    )
+    report = regularity_report(field, spec.alpha.alpha0, cfg.diag_gamma, window=window)
+    csvio.write_regularity_csv(os.path.join(out_dir, "regularity.csv"), report)
 
 
 def run_scan(cfg: RunConfig, out_dir):

@@ -170,7 +170,7 @@ class RunConfig:
                 f"inside [0, {self.L}]",
                 path,
             )
-        if not 0.0 <= min(self.scan_c0_grid) <= max(self.scan_c0_grid) <= self.alpha_star:
+        if not all(0.0 <= c <= self.alpha_star for c in self.scan_c0_grid):
             raise ConfigError(f"scan.c0_grid values must lie in [0, {self.alpha_star}]", path)
         if self.synthesis_refine < 4:
             raise ConfigError(
@@ -188,8 +188,9 @@ class RunConfig:
             ("observation.x_count", self.obs_x_count >= 1, ">= 1"),
             ("output.x_count", self.out_x_count >= 1, ">= 1"),
             ("run.seed", self.seed >= 0, ">= 0"),
-            ("diagnostics.gamma", self.diag_gamma >= 0.0, ">= 0"),
+            ("diagnostics.gamma", 0.0 <= self.diag_gamma < np.inf, "finite and >= 0"),
             ("diagnostics.fit_lo", 0.0 < self.diag_fit_lo < self.diag_fit_hi, "in (0, fit_hi)"),
+            ("diagnostics.fit_hi", self.diag_fit_hi <= self.T, f"<= model.T = {self.T}"),
         ):
             if not ok:
                 raise ConfigError(f"{key} must be {rule}", path)

@@ -195,10 +195,10 @@ def read_scan_csv(path):
 # -- diagnostics ---------------------------------------------------------
 
 
-def write_regularity_csv(path, report: RegularityReport, alpha0):
+def write_regularity_csv(path, report: RegularityReport):
     lines = [
         "alpha0,fitted_slope,expected_slope,weighted_norm,verdict",
-        f"{fmt(alpha0)},{fmt(report.fitted_slope)},{fmt(report.expected_slope)},"
+        f"{fmt(report.alpha0)},{fmt(report.fitted_slope)},{fmt(report.expected_slope)},"
         f"{fmt(report.weighted_norm)},{report.verdict}",
     ]
     _write_lines(path, lines)

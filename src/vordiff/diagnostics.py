@@ -25,11 +25,18 @@ MIN_MESH_M = 64  # mesh intervals needed to difference a field twice
 
 @dataclass
 class RegularityReport:
+    alpha0: float
     fitted_slope: float
-    expected_slope: float
     weighted_norm: float
     fit_window: tuple
-    verdict: str  # "smooth" | "singular"
+
+    @property
+    def expected_slope(self):
+        return -self.alpha0
+
+    @property
+    def verdict(self):
+        return "smooth" if abs(self.fitted_slope) < SMOOTH_SLOPE_THRESHOLD else "singular"
 
 
 def second_derivative_norms(field: SolutionField, gamma: float):
@@ -122,16 +129,13 @@ def regularity_report(
     t, norms = second_derivative_norms(field, gamma)
     if np.any(norms[fit_window_mask(t, window)] <= 0.0):
         fitted = 0.0
-        verdict = "smooth"
     else:
         fitted = fit_singularity_exponent(t, norms, window)
-        verdict = "smooth" if abs(fitted) < SMOOTH_SLOPE_THRESHOLD else "singular"
     mu = 1.0 - alpha0 if alpha0 > 0.0 else 0.0
     weighted = weighted_cm_norm(field, mu, gamma)
     return RegularityReport(
+        alpha0=alpha0,
         fitted_slope=fitted,
-        expected_slope=-alpha0,
         weighted_norm=weighted,
         fit_window=(float(window[0]), float(window[1])),
-        verdict=verdict,
     )

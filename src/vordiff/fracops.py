@@ -76,7 +76,7 @@ def project_admissible(coeffs, T, alpha_star):
     return c
 
 
-@dataclass
+@dataclass(eq=False)
 class TimeMesh:
     """Graded time nodes t_n = T * (n/M)**r, n = 0..M.
 
@@ -88,7 +88,7 @@ class TimeMesh:
     T: float
     M: int
     r: float | None = 1.0
-    nodes: np.ndarray = field(default=None, repr=False, compare=False)
+    nodes: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.nodes is None:
@@ -155,10 +155,6 @@ class OrderFunction:
                 f"violating the bound 0 <= alpha(t) <= alpha_star < 1 "
                 f"with alpha_star = {self.alpha_star}"
             )
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
     @property
     def alpha0(self):

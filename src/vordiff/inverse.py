@@ -90,8 +90,8 @@ class InversionConfig:
             raise DomainError(f"tikhonov weight must be finite and >= 0, got {self.tikhonov}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.gn_tolerance >= 0.0:
-            raise DomainError(f"gn_tolerance must be >= 0, got {self.gn_tolerance}")
+        if not 0.0 <= self.gn_tolerance < np.inf:
+            raise DomainError(f"gn_tolerance must be finite and >= 0, got {self.gn_tolerance}")
         if not np.isfinite(self.init_coeffs).all():
             raise DomainError(f"initial guess must be finite, got {self.init_coeffs}")
         if np.size(self.init_coeffs) > self.degree + 1:
@@ -104,22 +104,29 @@ class InversionConfig:
 @dataclass
 class InversionResult:
     coeffs: tuple
-    residual_history: list
-    converged: bool
-    final_misfit: float
-    iterations: int
-    inverse_crime: bool | None
+    residual_history: list  # misfit norm at the start and after each accepted iterate
     # why recover_order stopped: "tolerance", "max_iter" or "no_descent"
-    stop_reason: str | None = None
+    stop_reason: str
+    inverse_crime: bool | None
+
+    @property
+    def converged(self):
+        return self.stop_reason == "tolerance"
+
+    @property
+    def final_misfit(self):
+        return self.residual_history[-1]
+
+    @property
+    def iterations(self):
+        return len(self.residual_history) - 1
 
 
 @dataclass
 class ModeExtraction:
     """Per-time least-squares mode estimates from windowed observations."""
 
-    t_points: np.ndarray
-    values: np.ndarray  # shape (n_modes, len(t_points))
-    residual_norms: np.ndarray  # data misfit per observation time
+    values: np.ndarray  # shape (n_modes, len(obs.t_points))
     condition_number: float
 
 
@@ -127,7 +134,10 @@ class ModeExtraction:
 class ScanResult:
     candidates: list  # coefficient tuples
     misfits: list
-    best_index: int
+
+    @property
+    def best_index(self):
+        return int(np.argmin(self.misfits))
 
 
 def synthesize_observations(
@@ -207,13 +217,7 @@ def extract_modes(obs: ObservationSet, basis: SpectralBasis, n_modes: int) -> Mo
             "reduce the mode count or widen the observation window"
         )
     sol, _, _, _ = np.linalg.lstsq(phi, obs.values, rcond=None)
-    resid = np.linalg.norm(obs.values - phi @ sol, axis=0)
-    return ModeExtraction(
-        t_points=obs.t_points.copy(),
-        values=sol,
-        residual_norms=resid,
-        condition_number=cond,
-    )
+    return ModeExtraction(values=sol, condition_number=cond)
 
 
 class _Inversion:
@@ -318,7 +322,6 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     history = [float(np.linalg.norm(res))]
     obj = objective(c, res)
     stop_reason = "max_iter"
-    iterations = 0
     for _ in range(config.max_iter):
         J = inv.jacobian(c.size, a, u)
         lhs = J.T @ J + mu * np.eye(c.size)
@@ -328,23 +331,20 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
         except np.linalg.LinAlgError:
             delta = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
         step = 1.0
-        accepted = False
         for _ in range(STEP_HALVINGS):
             cand = project_admissible(c + step * delta, model.T, config.alpha_star)
             cand_a, cand_u = inv.solve(cand)
             cand_res = inv.residual(cand_u)
             cand_obj = objective(cand, cand_res)
             if cand_obj <= obj:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             stop_reason = "no_descent"
             break
         moved = float(np.abs(cand - c).max())
         c, a, u, res, obj = cand, cand_a, cand_u, cand_res, cand_obj
         history.append(float(np.linalg.norm(res)))
-        iterations += 1
         rel_drop = abs(history[-2] - history[-1]) / max(1.0, history[-1])
         if moved <= config.gn_tolerance or rel_drop <= config.gn_tolerance:
             stop_reason = "tolerance"
@@ -355,11 +355,8 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     return InversionResult(
         coeffs=tuple(float(v) for v in c),
         residual_history=history,
-        converged=stop_reason == "tolerance",
-        final_misfit=history[-1],
-        iterations=iterations,
-        inverse_crime=crime,
         stop_reason=stop_reason,
+        inverse_crime=crime,
     )
 
 
@@ -370,5 +367,4 @@ def uniqueness_scan(obs: ObservationSet, model: ModelSpec, grid, config: Inversi
         raise DomainError("candidate grid is empty")
     inv = _Inversion(obs, model, config)
     misfits = [float(np.linalg.norm(inv.residual(inv.solve(cand)[1]))) for cand in candidates]
-    best = int(np.argmin(misfits))
-    return ScanResult(candidates=candidates, misfits=misfits, best_index=best)
+    return ScanResult(candidates=candidates, misfits=misfits)

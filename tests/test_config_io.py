@@ -99,10 +99,16 @@ class TestConfigParsing:
             ("inversion.init = 0.5, 0.1, 0.1\n", "initial guess has 3 coefficients"),
             ("inversion.max_iter = 0\n", "max_iter"),
             ("inversion.gn_tolerance = -1\n", "gn_tolerance"),
+            ("inversion.gn_tolerance = inf\n", "gn_tolerance must be finite"),
             ("output.x_count = -1\n", "output.x_count"),
             ("output.x_count = 0\n", "output.x_count"),
             ("observation.x_count = 0\n", "observation.x_count"),
             ("diagnostics.gamma = -1\n", "diagnostics.gamma"),
+            ("diagnostics.gamma = inf\n", "diagnostics.gamma must be finite"),
+            ("diagnostics.fit_hi = inf\n", "diagnostics.fit_hi must be <= model.T"),
+            ("diagnostics.fit_hi = 5.0\n", "diagnostics.fit_hi must be <= model.T"),
+            ("scan.c0_grid = 0.3, nan\n", "scan.c0_grid"),
+            ("scan.c0_grid = nan, 0.3\n", "scan.c0_grid"),
             ("diagnostics.fit_lo = -0.1\n", "diagnostics.fit_lo"),
             ("diagnostics.fit_lo = 0.5\ndiagnostics.fit_hi = 0.2\n", "diagnostics.fit_lo"),
             ("inversion.tikhonov = nan\n", "tikhonov weight must be finite"),
@@ -315,9 +321,7 @@ class TestCsvRoundTrips:
         res = InversionResult(
             coeffs=(0.30000001, 0.1999999),
             residual_history=[1.0, 0.5, 0.25],
-            converged=True,
-            final_misfit=0.25,
-            iterations=2,
+            stop_reason="tolerance",
             inverse_crime=False,
         )
         path = tmp_path / "inversion.csv"
@@ -340,7 +344,6 @@ class TestCsvRoundTrips:
         scan = ScanResult(
             candidates=[(0.1,), (0.5,), (0.9,)],
             misfits=[3.0, 0.001, 2.0],
-            best_index=1,
         )
         path = tmp_path / "scan.csv"
         csvio.write_scan_csv(path, scan)
@@ -350,14 +353,13 @@ class TestCsvRoundTrips:
 
     def test_regularity(self, tmp_path):
         rep = RegularityReport(
+            alpha0=0.5,
             fitted_slope=-0.497,
-            expected_slope=-0.5,
             weighted_norm=1.234,
             fit_window=(1e-3, 1e-1),
-            verdict="singular",
         )
         path = tmp_path / "regularity.csv"
-        csvio.write_regularity_csv(path, rep, 0.5)
+        csvio.write_regularity_csv(path, rep)
         row = csvio.read_regularity_csv(path)
         assert row["alpha0"] == 0.5
         assert row["fitted_slope"] == -0.497

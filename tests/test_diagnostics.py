@@ -5,6 +5,7 @@ from vordiff import (
     DomainError,
     ModelSpec,
     OrderFunction,
+    RegularityReport,
     TimeMesh,
     fit_singularity_exponent,
     regularity_report,
@@ -138,3 +139,10 @@ class TestRegularityReport:
         rep = regularity_report(field, 0.0, 0.0)
         assert rep.verdict == "smooth"
         assert rep.expected_slope == 0.0
+
+    @pytest.mark.parametrize("slope, verdict", [(-0.09, "smooth"), (-0.1, "singular")])
+    def test_verdict_from_slope_threshold(self, slope, verdict):
+        rep = RegularityReport(alpha0=0.3, fitted_slope=slope, weighted_norm=1.0,
+                               fit_window=(1e-3, 1e-1))
+        assert rep.verdict == verdict
+        assert rep.expected_slope == -0.3

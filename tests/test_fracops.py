@@ -38,6 +38,9 @@ class TestTimeMesh:
         m = TimeMesh.from_nodes([0.0, 0.1, 0.5, 1.0])
         assert m.M == 3 and m.T == 1.0 and m.r is None
 
+    def test_meshes_with_different_nodes_differ(self):
+        assert TimeMesh.from_nodes([0.0, 0.1, 1.0]) != TimeMesh.from_nodes([0.0, 0.9, 1.0])
+
     @given(
         T=st.floats(0.1, 10.0),
         M=st.integers(1, 200),

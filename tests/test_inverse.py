@@ -5,9 +5,11 @@ from vordiff import (
     DomainError,
     IllPosedExtractionError,
     InversionConfig,
+    InversionResult,
     ModelSpec,
     ObservationSet,
     OrderFunction,
+    ScanResult,
     SpectralBasis,
     TimeMesh,
     extract_modes,
@@ -298,6 +300,18 @@ class TestRecoverOrder:
 
 
 class TestStopReason:
+    @pytest.mark.parametrize(
+        "stop_reason, history, converged",
+        [("tolerance", [1.0, 0.5, 0.25], True), ("max_iter", [1.0, 0.5], False),
+         ("no_descent", [1.0], False)],
+    )
+    def test_result_derives_from_stop_reason_and_history(self, stop_reason, history,
+                                                         converged):
+        res = InversionResult((0.3,), history, stop_reason, inverse_crime=None)
+        assert res.converged is converged
+        assert res.final_misfit == history[-1]
+        assert res.iterations == len(history) - 1
+
     def test_truth_start_stops_on_tolerance(self):
         obs = twin_observations((0.5,), t_count=256)
         cfg = InversionConfig(degree=0, gn_tolerance=1e-2, n_modes=8, init_coeffs=(0.5,))
@@ -352,6 +366,12 @@ def test_jacobian_reuses_the_accepted_trial_solve(monkeypatch):
 
 
 class TestUniquenessScan:
+    def test_best_index_follows_misfits(self):
+        scan = ScanResult(candidates=[(0.1,), (0.5,), (0.9,)], misfits=[3.0, 0.001, 2.0])
+        assert scan.best_index == 1
+        scan.misfits[2] = 0.0
+        assert scan.best_index == 2
+
     def test_unique_minimum_at_truth(self):
         obs = twin_observations((0.5,), t_count=128)
         grid = [(c,) for c in (0.3, 0.4, 0.5, 0.6, 0.7)]
