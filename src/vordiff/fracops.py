@@ -17,10 +17,10 @@ All operations are pure functions of their value inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, gamma
 
 from .errors import DomainError, SingularOrderError
 
@@ -200,22 +200,23 @@ def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
     """Weights w_j with sum_j w_j (g_j - g_{j-1}) the Caputo value at node n.
 
     w_j = ((t_n - t_{j-1})^(1-a) - (t_n - t_j)^(1-a)) / (Gamma(2-a) h_j)
-    for j = 1..n with a = alpha_n.  At a = 0 every weight is exactly 1,
-    so the sum telescopes to the identity limit g_n - g_0.
+    for j = 1..n with a = alpha_n, Gamma taken from math.gamma.  At a = 0
+    every weight is exactly 1, so the sum telescopes to the identity limit
+    g_n - g_0.
     """
     if alpha_n == 0.0:
         return np.ones(n)
     t = mesh.nodes
     p = (t[n] - t[: n + 1]) ** (1.0 - alpha_n)  # p[n] = 0 exactly
-    return (p[:-1] - p[1:]) / (gamma(2.0 - alpha_n) * mesh.spacing[:n])
+    return (p[:-1] - p[1:]) / (math.gamma(2.0 - alpha_n) * mesh.spacing[:n])
 
 
 def frac_integral_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
     """Variable-order fractional integral of g at node n.
 
     Approximates (1/Gamma(a)) * int_0^{t_n} g(s) (t_n - s)^(a-1) ds with
-    a = alpha(t_n), g piecewise linear between nodes and the kernel
-    integrated exactly on each subinterval.
+    a = alpha(t_n), g piecewise linear between nodes, the kernel
+    integrated exactly on each subinterval and Gamma(a) from math.gamma.
     """
     _check_node(g.mesh, n)
     t = g.mesh.nodes
@@ -232,7 +233,7 @@ def frac_integral_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
     m1 = lo * m0 - (lo ** (a_n + 1.0) - hi ** (a_n + 1.0)) / (a_n + 1.0)
     left = g.values[:n]
     slope = np.diff(g.values[: n + 1]) / h
-    return float((left @ m0 + slope @ m1) / gamma(a_n))
+    return float((left @ m0 + slope @ m1) / math.gamma(a_n))
 
 
 def caputo_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
@@ -250,6 +251,20 @@ def caputo_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
     return float(w @ np.diff(g.values[: n + 1]))
 
 
+def _digamma(x):
+    """Digamma psi(x) for x > 0, elementwise.
+
+    psi(x) = psi(z) - sum_{k<12} 1/(x + k) with z = x + 12, and psi(z) from
+    the asymptotic series ln z - 1/(2z) - sum_k B_2k / (2k z^2k) through the
+    z^-12 term; at z >= 12 the first term left out is below 1e-16.
+    """
+    x = np.asarray(x, dtype=float)
+    z = x + 12.0
+    coeffs = (-1 / 12, 1 / 120, -1 / 252, 1 / 240, -1 / 132, 691 / 32760)
+    series = np.log(z) - 0.5 / z + z[..., None] ** -np.arange(2.0, 13.0, 2.0) @ coeffs
+    return series - (1.0 / (x[..., None] + np.arange(12.0))).sum(axis=-1)
+
+
 def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
     """Order-sensitivity weights at the nodes n[r] with orders a[r], one row each.
 
@@ -258,7 +273,8 @@ def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
     index in n.  The log-kernel moment uses the antiderivative
     tau^(1-a) (ln tau / (1-a) - 1/(1-a)^2) of ln(tau) tau^(-a), whose limit
     at tau = 0 is 0 since 1 - a > 0; the kernel values at tau = t_n - t_j
-    are shared by the intervals on either side of t_j.
+    are shared by the intervals on either side of t_j.  psi(1 - a) comes
+    from _digamma and Gamma(1 - a) from math.gamma, one value per row.
     """
     ok = (a >= 0.0) & (a < 1.0)
     if not ok.all():
@@ -271,7 +287,8 @@ def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
     anti = np.where(pos, p * (np.log(np.where(pos, tau, 1.0)) / oma - 1.0 / oma**2), 0.0)
     m0 = (p[:, :-1] - p[:, 1:]) / oma
     mlog = anti[:, :-1] - anti[:, 1:]
-    return (digamma(oma) * m0 - mlog) / gamma(oma)
+    gamma_oma = np.fromiter(map(math.gamma, 1.0 - a), float, a.size)[:, None]
+    return (_digamma(oma) * m0 - mlog) / gamma_oma
 
 
 def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:

@@ -1,8 +1,14 @@
 import filecmp
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vordiff
 from vordiff import csvio
 from vordiff.cli import main
 from vordiff.config import RunConfig
@@ -247,3 +253,32 @@ class TestDeterminism:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--seed" in err and "Traceback" not in err
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # None in sys.modules makes any import of scipy, lazy ones included, fail
+    cfg = write_cfg(tmp_path, TWIN_CFG)
+
+    def commands(out):
+        runs = [[c, "--config", cfg, "--out", str(out)]
+                for c in ("forward", "synth", "diagnose", "scan")]
+        runs.append(["invert", "--config", cfg, "--obs", str(out / "observations.csv"),
+                     "--out", str(out)])
+        return runs
+
+    blocked, unblocked = tmp_path / "blocked", tmp_path / "unblocked"
+    code = (
+        "import json, sys; sys.modules['scipy'] = None; from vordiff.cli import main; "
+        f"print(json.dumps([main(argv) for argv in {commands(blocked)!r}]))"
+    )
+    src = pathlib.Path(vordiff.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == [0] * 5
+    assert [main(argv) for argv in commands(unblocked)] == [0] * 5
+    names = sorted(p.name for p in unblocked.iterdir())
+    assert sorted(p.name for p in blocked.iterdir()) == names and len(names) == 8
+    for name in names:
+        assert filecmp.cmp(blocked / name, unblocked / name, shallow=False), name

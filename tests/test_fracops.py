@@ -1,3 +1,6 @@
+import math
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from vordiff import (
     caputo_vo,
     frac_integral_vo,
 )
+from vordiff import fracops
 from vordiff.fracops import SENSITIVITY_BLOCK, order_sensitivities, project_admissible
 
 
@@ -330,6 +334,19 @@ class TestOrderSensitivity:
             per_node = [caputo_order_sensitivity(g, a[n], n) for n in range(1, M + 1)]
             np.testing.assert_allclose(row[1:], per_node, rtol=1e-13, atol=0.0)
 
+    def test_rows_match_scipy_special_functions(self, monkeypatch):
+        # scipy.special is the reference for math.gamma and _digamma here
+        mesh = TimeMesh(1.0, 200, 2.5)
+        n = np.array([1, 2, 7, 64, 200])
+        for order in (0.0, 0.3, 0.6, 0.95):
+            a = np.full(n.size, order)
+            rows = fracops._sensitivity_weight_rows(mesh, n, a)
+            with monkeypatch.context() as m:
+                m.setattr(fracops, "_digamma", digamma)
+                m.setattr(fracops, "math", types.SimpleNamespace(gamma=gamma))
+                reference = fracops._sensitivity_weight_rows(mesh, n, a)
+            np.testing.assert_allclose(rows, reference, rtol=1e-13, atol=0.0)
+
     def test_blocked_rejects_bad_order(self):
         mesh = TimeMesh(1.0, 16, 1.0)
         a = np.full(17, 0.5)
@@ -352,10 +369,23 @@ def test_gamma_digamma_accuracy_on_unit_interval():
     import mpmath
 
     xs = np.linspace(0.02, 2.0, 100)
-    worst_g = max(abs(gamma(x) - float(mpmath.gamma(x))) / float(mpmath.gamma(x)) for x in xs)
+    worst_g = max(
+        abs(math.gamma(x) - float(mpmath.gamma(x))) / float(mpmath.gamma(x)) for x in xs
+    )
     worst_d = max(
-        abs(digamma(x) - float(mpmath.digamma(x))) / max(1e-3, abs(float(mpmath.digamma(x))))
+        abs(fracops._digamma(x) - float(mpmath.digamma(x)))
+        / max(1e-3, abs(float(mpmath.digamma(x))))
         for x in xs
     )
     assert worst_g <= 1e-12
     assert worst_d <= 1e-12
+
+
+def test_digamma_matches_mpmath_where_the_operators_use_it():
+    # the operators take psi(1 - a) with 0 <= a <= alpha_star < 1, so x in (0, 1]
+    import mpmath
+
+    xs = np.concatenate([np.linspace(0.0, 1.0, 2001)[1:], np.geomspace(1e-8, 1.0, 200)])
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.digamma(mpmath.mpf(x))) for x in xs])
+    np.testing.assert_allclose(fracops._digamma(xs), exact, rtol=1e-14, atol=0.0)

@@ -193,13 +193,16 @@ class TestSobolevNorm:
 
 
 def test_cli_import_does_not_load_scipy_integrate():
-    code = "import sys, vordiff.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, vordiff.cli; print('scipy.integrate' in sys.modules); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     src = pathlib.Path(vordiff.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "[]"]
 
 
 def test_orthonormality_on_default_grid():
