@@ -11,20 +11,22 @@ in the Dirichlet sine basis decouples it into one scalar problem per mode:
 Every mode follows the same first-order implicit scheme: backward
 difference for u', the L1 history sum for the Caputo term with the
 current-step weight moved to the implicit side, and k, alpha frozen at
-the new node.  step_modes advances all modes together with one L1 weight
-row per node: its last entry is the implicit weight and the rest feed the
-history sum, and nothing is precomputed per (mode, node).  Cost is O(M^2)
-for the weights plus O(M^2) per mode for the history sums.
+the new node.  step_modes advances all modes together: each node builds
+one row of raw kernel increments and applies it to the modes' slopes,
+and the node scalars and step coefficients are computed and checked once
+per pass.  Cost is O(M^2) for the increments plus O(M^2) per mode for the
+history sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fracops import OrderFunction, TimeMesh, l1_weights, polyval
+from .fracops import OrderFunction, TimeMesh, _l1_increments, polyval
 from .spectral import SpectralBasis, analyze, analyze_function, sobolev_norm, synthesize
 
 
@@ -120,13 +122,18 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None) -> np.ndarray:
     as an (N, M+1) array whose column 0 is not used.  At node t_n each
     mode solves one scalar linear equation
 
-        u_n (1/h_n + k_n w_nn + lam) = u_{n-1} (1/h_n + k_n w_nn) - k_n H_n + f_n
+        u_n (d_n + lam) = u_{n-1} d_n - H_n + f_n,   d_n = 1/h_n + k_n w_n,
 
-    with w the L1 weight row of node n at order a_n, w_nn its last entry,
-    and H_n the explicit part of the history sum.  For k >= 0, lam > 0 the
-    step coefficient is strictly positive, making the scheme unconditionally
-    stable; otherwise the first node and mode where it is not are reported
-    before that node is stepped.  Returns u_i(t_n) as an (N, M+1) array.
+    with w_n = h_n^(-a_n) / Gamma(2 - a_n) the implicit L1 weight and the
+    history H_n = (k_n / Gamma(2 - a_n)) sum_{j<n} (p_{j-1} - p_j) s_j on
+    the slopes s_j = (u_j - u_{j-1}) / h_j, each stored once, with the raw
+    kernel increments of fracops._l1_increments at order a_n: no row is
+    divided by Gamma(2 - a_n) h_j.  The node scalars and every coefficient
+    d_n + lam_i are computed once per pass and checked before any node is
+    stepped.  For k >= 0, lam > 0 they are strictly positive, making the
+    scheme unconditionally stable; otherwise the first failing node, and
+    the first failing mode there, is reported.  Returns u_i(t_n) as an
+    (N, M+1) array.
 
     The history sum runs row by row, so a mode's trajectory is bitwise the
     same whichever other modes share the call.
@@ -134,27 +141,32 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0):
         raise DomainError(f"eigenvalue must be positive, got {lam[lam <= 0.0][0]}")
-    # per-node scalars as Python floats: cheaper than numpy scalars, same arithmetic
-    lam_min, kn = float(lam.min()), np.asarray(k).tolist()
-    inv_h = (1.0 / mesh.spacing).tolist()
+    h, a_n, k_n = mesh.spacing, np.asarray(a, dtype=float)[1:], np.asarray(k, dtype=float)[1:]
+    gam = np.fromiter(map(math.gamma, 2.0 - a_n), float, a_n.size)
+    d = 1.0 / h + k_n * (h**-a_n / gam)
+    coef = d[:, None] + lam  # (M, N) step coefficients, node-major
+    ok = (coef > 0.0) & (coef < np.inf)  # false for NaN too
+    if not ok.all():
+        n, i = divmod(int(np.argmin(ok)), lam.size)  # first failing node, then mode
+        raise NumericalError(
+            f"non-invertible step coefficient {coef[n, i]:.6g} at node {n + 1} "
+            f"(t = {mesh.nodes[n + 1]:.6g}, k = {k_n[n]:.6g}, lam = {lam[i]:.6g}, "
+            f"alpha = {a_n[n]:.6g}); the scheme requires k >= 0 and lam > 0"
+        )
     u = np.empty((lam.size, mesh.M + 1))
-    du = np.empty((lam.size, mesh.M))  # increments u_j - u_{j-1}
+    s = np.empty((lam.size, mesh.M))  # slopes (u_j - u_{j-1}) / h_j
     u[:, 0] = u0
-    for n in range(1, mesh.M + 1):
-        w = l1_weights(mesh, n, a[n])
-        d = inv_h[n - 1] + kn[n] * float(w[-1])
-        if not 0.0 < d + lam_min < np.inf:  # false for NaN too
-            i = np.argmin(np.isfinite(d + lam) & (d + lam > 0.0))  # first failing mode
-            raise NumericalError(
-                f"non-invertible step coefficient {d + lam[i]:.6g} at node {n} "
-                f"(t = {mesh.nodes[n]:.6g}, k = {k[n]:.6g}, lam = {lam[i]:.6g}, "
-                f"alpha = {a[n]:.6g}); the scheme requires k >= 0 and lam > 0"
-            )
-        rhs = u[:, n - 1] * d - kn[n] * np.einsum("ij,j->i", du[:, : n - 1], w[:-1])
+    u_prev = u[:, 0]
+    # per-node scalars as Python floats: cheaper than numpy scalars, same arithmetic
+    nodes = zip(a_n.tolist(), d.tolist(), (k_n / gam).tolist(), h.tolist(), coef)
+    for n, (a_val, d_val, k_gam, h_val, coef_row) in enumerate(nodes, start=1):
+        p = _l1_increments(mesh, n, a_val)
+        rhs = u_prev * d_val - k_gam * np.einsum("ij,j->i", s[:, : n - 1], p[:-1])
         if forcing is not None:
             rhs += forcing[:, n]
-        u[:, n] = rhs / (d + lam)
-        du[:, n - 1] = u[:, n] - u[:, n - 1]
+        u[:, n] = u_next = rhs / coef_row
+        s[:, n - 1] = (u_next - u_prev) / h_val
+        u_prev = u_next
     if not np.all(np.isfinite(u)):
         raise NumericalError("trajectory contains non-finite values")
     return u

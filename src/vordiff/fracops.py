@@ -196,19 +196,30 @@ def _check_node(mesh, n):
         raise DomainError(f"node index n = {n} outside 1..{mesh.M}")
 
 
+def _l1_increments(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
+    """Raw L1 kernel increments p_{j-1} - p_j, p_j = (t_n - t_j)^(1-a), j = 1..n.
+
+    At a = 0 they are the steps h_j themselves, so that l1_weights is
+    exactly 1 there; that row is a view of mesh.spacing, not to be written.
+    """
+    if alpha_n == 0.0:
+        return mesh.spacing[:n]
+    t = mesh.nodes
+    p = (t[n] - t[: n + 1]) ** (1.0 - alpha_n)  # p[n] = 0 exactly
+    return p[:-1] - p[1:]
+
+
 def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
     """Weights w_j with sum_j w_j (g_j - g_{j-1}) the Caputo value at node n.
 
     w_j = ((t_n - t_{j-1})^(1-a) - (t_n - t_j)^(1-a)) / (Gamma(2-a) h_j)
-    for j = 1..n with a = alpha_n, Gamma taken from math.gamma.  At a = 0
+    for j = 1..n with a = alpha_n, Gamma taken from math.gamma: the raw
+    kernel increments of _l1_increments over Gamma(2-a) h_j.  At a = 0
     every weight is exactly 1, so the sum telescopes to the identity limit
     g_n - g_0.
     """
-    if alpha_n == 0.0:
-        return np.ones(n)
-    t = mesh.nodes
-    p = (t[n] - t[: n + 1]) ** (1.0 - alpha_n)  # p[n] = 0 exactly
-    return (p[:-1] - p[1:]) / (math.gamma(2.0 - alpha_n) * mesh.spacing[:n])
+    h = mesh.spacing[:n]
+    return _l1_increments(mesh, n, alpha_n) / (math.gamma(2.0 - alpha_n) * h)
 
 
 def frac_integral_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:

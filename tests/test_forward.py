@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,13 @@ from vordiff import (
     TimeMesh,
     default_grading,
     evaluate,
+    l1_weights,
     solve_forward,
     solve_mode,
     stability_ratio,
+    step_modes,
 )
+import vordiff.forward
 
 L = np.pi
 MODE1 = lambda x: np.sqrt(2.0 / L) * np.sin(np.asarray(x))
@@ -30,6 +35,22 @@ REFERENCE_FIELD_MIDPOINT = 1.4854624041662658
 
 def spec_with(alpha, k=1.0, T=1.0, u0=MODE1):
     return ModelSpec(K=1.0, L=L, T=T, k_coeffs=(k,), alpha=alpha, u0=u0)
+
+
+def reference_step_modes(mesh, a, k, lam, u0, forcing=None):
+    """The scheme of step_modes written on increments with whole L1 weight
+    rows: w[-1] is the implicit weight, w[:-1] weighs u_j - u_{j-1}."""
+    lam = np.asarray(lam, dtype=float)
+    u = np.empty((lam.size, mesh.M + 1))
+    u[:, 0] = u0
+    for n in range(1, mesh.M + 1):
+        w = l1_weights(mesh, n, a[n])
+        d = 1.0 / mesh.spacing[n - 1] + k[n] * w[-1]
+        rhs = u[:, n - 1] * d - k[n] * (np.diff(u[:, :n], axis=1) @ w[:-1])
+        if forcing is not None:
+            rhs += forcing[:, n]
+        u[:, n] = rhs / (d + lam)
+    return u
 
 
 class TestDefaultGrading:
@@ -90,10 +111,41 @@ class TestSolveMode:
         with pytest.raises(NumericalError, match="step coefficient .* at node 33 "):
             solve_mode(1.0, 1.0, spec, TimeMesh(1.0, 64, 1.0))
 
+    def test_step_coefficients_checked_before_any_step(self, monkeypatch):
+        # k(t) = 1 - 16 t turns negative at t = 1/16; at node 33 (k = -7.25)
+        # the coefficient of lam = 1 is the first to fail while lam = 4 passes
+        mesh = TimeMesh(1.0, 64, 1.0)
+        rows = []
+        increments = vordiff.forward._l1_increments
+        monkeypatch.setattr(
+            vordiff.forward, "_l1_increments", lambda *args: rows.append(args) or increments(*args)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"at node 33 \(.*, lam = 1, "):
+                step_modes(mesh, np.full(65, 0.5), 1.0 - 16.0 * mesh.nodes, [4.0, 1.0], [1.0, 1.0])
+        assert rows == []  # no node was stepped
+
     def test_needs_order(self):
         spec = spec_with(None)
         with pytest.raises(DomainError):
             solve_mode(1.0, 1.0, spec, TimeMesh(1.0, 16, 1.0))
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("coeffs", [(0.5,), (0.3, 0.2), (0.0, 0.4), (0.0,), (0.9,)])
+@pytest.mark.parametrize("r", [1.0, 2.5, 4.0])
+@pytest.mark.parametrize("M", [64, 300, 2048])
+def test_step_modes_matches_weight_row_stepper(M, r, coeffs, forced):
+    mesh = TimeMesh(1.0, M, r)
+    a = OrderFunction(coeffs, 0.95, 1.0)(mesh.nodes)
+    k = 1.0 + 0.5 * mesh.nodes
+    lam = np.array([1.0, 4.0, 9.0, 25.0])
+    u0 = np.array([1.0, -0.5, 0.25, 0.1])
+    forcing = np.cos(np.outer(lam, mesh.nodes)) if forced else None
+    got = step_modes(mesh, a, k, lam, u0, forcing)
+    want = reference_step_modes(mesh, a, k, lam, u0, forcing)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestSolveForward:

@@ -17,6 +17,7 @@ from vordiff import (
     caputo_order_sensitivity,
     caputo_vo,
     frac_integral_vo,
+    l1_weights,
 )
 from vordiff import fracops
 from vordiff.fracops import SENSITIVITY_BLOCK, order_sensitivities, project_admissible
@@ -224,6 +225,12 @@ class TestCaputo:
         alpha = OrderFunction((0.0,), 0.5, 1.0)
         for n in (1, 77, 200):
             assert caputo_vo(g, alpha, n) == g.values[n] - g.values[0]
+
+    def test_l1_weights_exactly_one_at_order_zero(self):
+        for r in (1.0, 2.5, 4.0):
+            mesh = TimeMesh(1.0, 300, r)
+            for n in (1, 150, 300):
+                assert np.array_equal(l1_weights(mesh, n, 0.0), np.ones(n))
 
     def test_node_zero_rejected(self):
         mesh = TimeMesh(1.0, 16, 1.0)
