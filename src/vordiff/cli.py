@@ -85,6 +85,8 @@ def run_invert(cfg: RunConfig, obs_path, out_dir):
         obs = csvio.read_observations_csv(obs_path)
     except (OSError, KeyError, IndexError, ValueError) as exc:
         raise ConfigError(f"cannot read observations: {exc}", str(obs_path)) from None
+    if not (obs.t_points.min() > 0.0 and obs.t_points.max() <= cfg.T):
+        raise ConfigError(f"observation times must lie in (0, model.T = {cfg.T}]", str(obs_path))
     result = recover_order(obs, cfg.model_spec(with_order=False), cfg.inversion_config())
     csvio.write_inversion_csv(os.path.join(out_dir, "inversion.csv"), result)
     csvio.write_residual_history_csv(

@@ -108,8 +108,8 @@ class TimeMesh:
                 raise DomainError("mesh must start at t = 0")
             self.T = float(self.nodes[-1])
             self.M = self.nodes.size - 1
-        if np.any(np.diff(self.nodes) <= 0.0):
-            raise DomainError("mesh nodes must be strictly increasing")
+        if not (np.isfinite(self.nodes).all() and (np.diff(self.nodes) > 0.0).all()):
+            raise DomainError("mesh nodes must be finite and strictly increasing")
         self.spacing = np.diff(self.nodes)
 
     @classmethod
@@ -281,25 +281,23 @@ def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
 
     Row r holds the weights s_1..s_{n[r]} of caputo_order_sensitivity at
     node n[r] and order a[r], followed by zeros up to the largest node
-    index in n.  The log-kernel moment uses the antiderivative
-    tau^(1-a) (ln tau / (1-a) - 1/(1-a)^2) of ln(tau) tau^(-a), whose limit
-    at tau = 0 is 0 since 1 - a > 0; the kernel values at tau = t_n - t_j
-    are shared by the intervals on either side of t_j.  psi(1 - a) comes
-    from _digamma and Gamma(1 - a) from math.gamma, one value per row.
+    index in n.  They are the a-derivative of the L1 increment row
+    (p_{j-1} - p_j) / Gamma(2-a), p_j = (t_n - t_j)^(1-a) (0 for t_j >= t_n):
+    s_j = (psi(2-a) (p_{j-1} - p_j) - (q_{j-1} - q_j)) / Gamma(2-a) with
+    q_j = p_j ln(t_n - t_j).  psi(2-a) = _digamma(1-a) + 1/(1-a) keeps
+    _digamma on (0, 1]; Gamma(2-a) is one math.gamma value per row.
     """
     ok = (a >= 0.0) & (a < 1.0)
     if not ok.all():
         raise DomainError(f"order value {a[~ok][0]} outside [0, 1)")
-    oma = (1.0 - a)[:, None]
+    oma = 1.0 - a
     t = mesh.nodes
     tau = np.maximum(t[n, None] - t[: n.max() + 1], 0.0)  # zero for j >= n
-    pos = tau > 0.0
-    p = tau**oma
-    anti = np.where(pos, p * (np.log(np.where(pos, tau, 1.0)) / oma - 1.0 / oma**2), 0.0)
-    m0 = (p[:, :-1] - p[:, 1:]) / oma
-    mlog = anti[:, :-1] - anti[:, 1:]
-    gamma_oma = np.fromiter(map(math.gamma, 1.0 - a), float, a.size)[:, None]
-    return (_digamma(oma) * m0 - mlog) / gamma_oma
+    p = tau ** oma[:, None]
+    q = p * np.log(np.where(tau > 0.0, tau, 1.0))
+    gamma = np.fromiter(map(math.gamma, 2.0 - a), float, a.size)
+    psi = _digamma(oma) + 1.0 / oma
+    return (psi[:, None] * (p[:, :-1] - p[:, 1:]) - (q[:, :-1] - q[:, 1:])) / gamma[:, None]
 
 
 def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:
@@ -307,11 +305,11 @@ def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:
 
     a holds alpha(t_n) at every node t_0..t_M and slopes holds the
     difference quotients (g_j - g_{j-1}) / h_j of each function as an
-    (N, M) array.  Column n of the (N, M+1) result is
-    sum_j s_j(n, a[n]) slopes[:, j-1] with the weights of
-    caputo_order_sensitivity; column 0 is 0.  The weights are built
-    SENSITIVITY_BLOCK nodes at a time and applied with one matrix product
-    per block, so memory grows with M, not M^2.
+    (N, M) array.  Column n of the (N, M+1) result is sum_j s_j(n, a[n])
+    slopes[:, j-1] with the weights of caputo_order_sensitivity, the
+    a-derivative of the L1 increment row at node n; column 0 is 0.  The
+    weights are built SENSITIVITY_BLOCK nodes at a time and applied with
+    one matrix product per block, so memory grows with M, not M^2.
     """
     a = np.asarray(a, dtype=float)
     out = np.zeros((slopes.shape[0], mesh.M + 1))
@@ -324,14 +322,14 @@ def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:
 def caputo_order_sensitivity(g: SampledFunction, alpha_value: float, n: int) -> float:
     """Derivative of the Caputo value of g at node n with respect to the order.
 
-    The value is sum_j s_j (g_j - g_{j-1}) / h_j for j = 1..n, with weights
-    s_j that discretize (1/Gamma(1-a)) * int_0^{t_n} (psi(1-a) - ln(t_n - s))
-    g'(s) (t_n - s)^(-a) ds in the same L1 style as caputo_vo, with psi
-    the digamma function and a = alpha_value.  Because the L1 weights
-    depend on the order only through a = alpha(t_n), this is the exact
-    order-derivative of the discrete operator, not merely a consistent
-    approximation.  The weights do not depend on g, so one vector serves
-    every function sampled on the mesh.
+    The value is sum_j s_j (g_j - g_{j-1}) / h_j for j = 1..n, with a =
+    alpha_value and s_j the a-derivative of the L1 increment row
+    (p_{j-1} - p_j) / Gamma(2-a), p_j = (t_n - t_j)^(1-a), that caputo_vo
+    applies to the same slopes.  Because the L1 weights depend on the
+    order only through a = alpha(t_n), this is the exact order-derivative
+    of the discrete operator, not merely a consistent approximation.  The
+    weights do not depend on g, so one vector serves every function
+    sampled on the mesh.
     """
     _check_node(g.mesh, n)
     weights = _sensitivity_weight_rows(g.mesh, np.array([n]), np.array([float(alpha_value)]))

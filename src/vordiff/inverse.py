@@ -56,6 +56,8 @@ class ObservationSet:
         self.x_points = np.asarray(self.x_points, dtype=float)
         self.t_points = np.asarray(self.t_points, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
+        if not all(np.isfinite(v).all() for v in (self.x_points, self.t_points, self.values)):
+            raise DomainError("observation x points, t points and values must be finite")
         if self.x_points.size and not (
             self.x_points.min() > a and self.x_points.max() < b
         ):
@@ -65,8 +67,8 @@ class ObservationSet:
                 f"values shape {self.values.shape} inconsistent with "
                 f"{self.x_points.size} x points and {self.t_points.size} t points"
             )
-        if self.noise_level < 0.0:
-            raise DomainError("noise level must be >= 0")
+        if not 0.0 <= self.noise_level < np.inf:
+            raise DomainError(f"noise level must be finite and >= 0, got {self.noise_level}")
 
 
 @dataclass
@@ -279,8 +281,8 @@ def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
     chaining d alpha(t_n)/d c_q = t_n^q gives, for v = d u_i / d c_q, the
     recurrence of u_i itself with v_0 = 0 and the forcing -k_n t_n^q S_n,
     where S_n is the exact order-derivative of the discrete Caputo value of
-    the already-computed trajectory u_i (order_sensitivities).  All
-    (coefficient, mode) pairs are stepped in one step_modes call.
+    u_i, the a-derivative of its L1 increment rows (order_sensitivities).
+    All (coefficient, mode) pairs are stepped in one step_modes call.
     """
     inv = _Inversion(obs, model, config)
     return inv.jacobian(len(alpha_coeffs), *inv.solve(alpha_coeffs))

@@ -3,6 +3,8 @@
 These never call back into the product code paths they check: fractional
 values come from adaptive QUADPACK quadrature with algebraic endpoint
 weights, derivatives from Richardson-extrapolated central differences.
+edit_observations writes the defective observation files that the input
+checks must reject.
 """
 
 import numpy as np
@@ -38,3 +40,28 @@ def observed_rates(errors):
     """log2 ratios of successive errors from mesh halving."""
     errors = np.asarray(errors, dtype=float)
     return np.log2(errors[:-1] / errors[1:])
+
+
+OBSERVATION_EDITS = ("nan_value", "inf_value", "nan_time", "nan_noise")
+
+
+def edit_observations(head, rows, edit):
+    """Lines of an observations.csv, split at its header line, with one defect.
+
+    nan_value / inf_value: one sample's value; nan_time, late_time (2.0)
+    and zero_time (0.0): the time of every sample at the last (first) time,
+    so the (x, t) grid stays complete; nan_noise: the noise_level comment.
+    """
+    if edit == "nan_noise":
+        return ["# noise_level = nan" if ln.startswith("# noise_level") else ln for ln in head] + rows
+    cells = [row.split(",") for row in rows]
+    if edit in ("nan_value", "inf_value"):
+        cells[0][2] = edit[:3]
+    else:
+        times = sorted({c[1] for c in cells}, key=float)
+        old, new = {"nan_time": (times[-1], "nan"), "late_time": (times[-1], "2.0"),
+                    "zero_time": (times[0], "0.0")}[edit]
+        for c in cells:
+            if c[1] == old:
+                c[1] = new
+    return head + [",".join(c) for c in cells]

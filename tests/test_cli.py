@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import vordiff
+from helpers import OBSERVATION_EDITS, edit_observations
 from vordiff import csvio
 from vordiff.cli import main
 from vordiff.config import RunConfig
@@ -175,6 +176,15 @@ class TestMalformedInput:
         rows = {"missing": rows[1:], "repeated": rows + rows[:1], "header_only": []}[edit]
         obs = tmp_path / "broken.csv"
         obs.write_text("\n".join(head + rows) + "\n")
+        assert main(["invert", "--config", cfg, "--obs", str(obs),
+                     "--out", str(tmp_path / "inv")]) == 2
+        assert str(obs) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", OBSERVATION_EDITS + ("late_time", "zero_time"))
+    def test_bad_observation_values_exit_2(self, tmp_path, capsys, edit):
+        cfg, head, rows = self._synth(tmp_path)
+        obs = tmp_path / "broken.csv"
+        obs.write_text("\n".join(edit_observations(head, rows, edit)) + "\n")
         assert main(["invert", "--config", cfg, "--obs", str(obs),
                      "--out", str(tmp_path / "inv")]) == 2
         assert str(obs) in capsys.readouterr().err

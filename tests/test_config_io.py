@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from vordiff import ConfigError, csvio
+from helpers import OBSERVATION_EDITS, edit_observations
+from vordiff import ConfigError, DomainError, csvio
 from vordiff.config import RunConfig
 from vordiff.diagnostics import RegularityReport
 from vordiff.forward import solve_forward
@@ -315,6 +316,14 @@ class TestCsvRoundTrips:
         path = tmp_path / "broken.csv"
         path.write_text("\n".join(head + rows) + "\n")
         with pytest.raises(ValueError, match="exactly once|data row"):
+            csvio.read_observations_csv(path)
+
+    @pytest.mark.parametrize("edit", OBSERVATION_EDITS)
+    def test_observations_non_finite_rejected(self, tmp_path, edit):
+        head, rows = self._observation_lines(tmp_path)
+        path = tmp_path / "broken.csv"
+        path.write_text("\n".join(edit_observations(head, rows, edit)) + "\n")
+        with pytest.raises(DomainError, match="finite"):
             csvio.read_observations_csv(path)
 
     def test_inversion(self, tmp_path):

@@ -68,6 +68,13 @@ class TestTimeMesh:
             with pytest.raises(DomainError, match="finite"):
                 TimeMesh(T, 10, r)
 
+    @pytest.mark.parametrize(
+        "nodes", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [0.0, 0.5, np.inf], [0.0, 0.5, 0.5]]
+    )
+    def test_from_nodes_rejects_non_finite_or_repeated(self, nodes):
+        with pytest.raises(DomainError, match="finite and strictly increasing"):
+            TimeMesh.from_nodes(nodes)
+
 
 class TestOrderFunction:
     def test_eval_examples(self):
@@ -353,6 +360,32 @@ class TestOrderSensitivity:
                 m.setattr(fracops, "math", types.SimpleNamespace(gamma=gamma))
                 reference = fracops._sensitivity_weight_rows(mesh, n, a)
             np.testing.assert_allclose(rows, reference, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("r", [1.0, 2.5, 4.0])
+    def test_rows_match_mpmath_order_derivative(self, r):
+        # whole rows against a 40-digit d/da of the L1 increment row
+        # (p_{j-1} - p_j) / Gamma(2-a), p_j = (t_n - t_j)^(1-a), on the same
+        # double nodes; the error is relative to the row's largest entry
+        import mpmath
+
+        mesh = TimeMesh(1.0, 200, r)
+        n = np.array([1, 2, 37, 200])
+        for order in (0.0, 0.3, 0.538, 0.95, 0.99):
+            rows = fracops._sensitivity_weight_rows(mesh, n, np.full(n.size, order))
+            with mpmath.workdps(40):
+                oma = 1 - mpmath.mpf(order)
+                psi, gam = mpmath.digamma(1 + oma), mpmath.gamma(1 + oma)
+                for row, m in zip(rows, n):
+                    tau = [mpmath.mpf(mesh.nodes[m]) - mpmath.mpf(x) for x in mesh.nodes[: m + 1]]
+                    p = [x**oma if x > 0 else mpmath.mpf(0) for x in tau]
+                    q = [pj * mpmath.log(x) if x > 0 else mpmath.mpf(0) for pj, x in zip(p, tau)]
+                    exact = np.array(
+                        [float((psi * (p[j - 1] - p[j]) - (q[j - 1] - q[j])) / gam)
+                         for j in range(1, m + 1)]
+                    )
+                    assert np.all(row[m:] == 0.0)
+                    err = np.abs(row[:m] - exact).max() / np.abs(exact).max()
+                    assert err <= 1e-14, (order, m, err)
 
     def test_blocked_rejects_bad_order(self):
         mesh = TimeMesh(1.0, 16, 1.0)
