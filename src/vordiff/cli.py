@@ -26,29 +26,6 @@ def _seed(text):
     return int(text)
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="vordiff",
-        description="Variable-order time-fractional diffusion toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "forward": "solve the model and write solution/modes/stability CSVs",
-        "synth": "synthesize windowed observations (observations.csv)",
-        "invert": "recover the variable order from observations",
-        "diagnose": "estimate the initial-time regularity (regularity.csv)",
-        "scan": "misfit scan over candidate constant orders (scan.csv)",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the run config")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=_seed, default=None, help="seed override")
-        if name == "invert":
-            p.add_argument("--obs", required=True, help="observations.csv to invert")
-    return parser
-
-
 def _synthesize(cfg: RunConfig):
     return synthesize_observations(
         cfg.model_spec(),
@@ -63,38 +40,36 @@ def _synthesize(cfg: RunConfig):
     )
 
 
-def run_forward(cfg: RunConfig, out_dir):
-    spec = cfg.model_spec()
-    field = solve_forward(spec, cfg.time_mesh(), cfg.basis_N)
+def run_forward(cfg: RunConfig, args):
+    field = solve_forward(cfg.model_spec(), cfg.time_mesh(), cfg.basis_N)
     xs = np.linspace(0.0, cfg.L, cfg.out_x_count)
-    csvio.write_solution_csv(os.path.join(out_dir, "solution.csv"), field, xs)
-    csvio.write_modes_csv(os.path.join(out_dir, "modes.csv"), field)
+    csvio.write_solution_csv(os.path.join(cfg.out_dir, "solution.csv"), field, xs)
+    csvio.write_modes_csv(os.path.join(cfg.out_dir, "modes.csv"), field)
     ratio = stability_ratio(field, cfg.diag_gamma)
-    csvio.write_stability_csv(
-        os.path.join(out_dir, "stability.csv"), cfg.diag_gamma, ratio
-    )
+    csvio.write_stability_csv(os.path.join(cfg.out_dir, "stability.csv"), cfg.diag_gamma, ratio)
 
 
-def run_synth(cfg: RunConfig, out_dir):
-    obs = _synthesize(cfg)
-    csvio.write_observations_csv(os.path.join(out_dir, "observations.csv"), obs)
+def run_synth(cfg: RunConfig, args):
+    csvio.write_observations_csv(os.path.join(cfg.out_dir, "observations.csv"), _synthesize(cfg))
 
 
-def run_invert(cfg: RunConfig, obs_path, out_dir):
+def run_invert(cfg: RunConfig, args):
     try:
-        obs = csvio.read_observations_csv(obs_path)
+        obs = csvio.read_observations_csv(args.obs)
     except (OSError, KeyError, IndexError, ValueError) as exc:
-        raise ConfigError(f"cannot read observations: {exc}", str(obs_path)) from None
+        raise ConfigError(f"cannot read observations: {exc}", args.obs) from None
     if not (obs.t_points.min() > 0.0 and obs.t_points.max() <= cfg.T):
-        raise ConfigError(f"observation times must lie in (0, model.T = {cfg.T}]", str(obs_path))
+        raise ConfigError(f"observation times must lie in (0, model.T = {cfg.T}]", args.obs)
+    if not (0.0 <= obs.window[0] and obs.window[1] <= cfg.L):
+        raise ConfigError(f"observation window must lie in [0, model.L = {cfg.L}]", args.obs)
     result = recover_order(obs, cfg.model_spec(with_order=False), cfg.inversion_config())
-    csvio.write_inversion_csv(os.path.join(out_dir, "inversion.csv"), result)
+    csvio.write_inversion_csv(os.path.join(cfg.out_dir, "inversion.csv"), result)
     csvio.write_residual_history_csv(
-        os.path.join(out_dir, "residual_history.csv"), result.residual_history
+        os.path.join(cfg.out_dir, "residual_history.csv"), result.residual_history
     )
 
 
-def run_diagnose(cfg: RunConfig, out_dir):
+def run_diagnose(cfg: RunConfig, args):
     # both rules hold for the config alone, so check them before solving
     if cfg.mesh_M < MIN_MESH_M:
         raise ConfigError(f"mesh.M must be >= {MIN_MESH_M} to diagnose, got {cfg.mesh_M}")
@@ -109,16 +84,43 @@ def run_diagnose(cfg: RunConfig, out_dir):
     spec = cfg.model_spec()
     field = solve_forward(spec, mesh, cfg.basis_N)
     report = regularity_report(field, spec.alpha.alpha0, cfg.diag_gamma, window=window)
-    csvio.write_regularity_csv(os.path.join(out_dir, "regularity.csv"), report)
+    csvio.write_regularity_csv(os.path.join(cfg.out_dir, "regularity.csv"), report)
 
 
-def run_scan(cfg: RunConfig, out_dir):
-    obs = _synthesize(cfg)
+def run_scan(cfg: RunConfig, args):
     grid = [(c0,) for c0 in cfg.scan_c0_grid]
     scan = uniqueness_scan(
-        obs, cfg.model_spec(with_order=False), grid, cfg.inversion_config()
+        _synthesize(cfg), cfg.model_spec(with_order=False), grid, cfg.inversion_config()
     )
-    csvio.write_scan_csv(os.path.join(out_dir, "scan.csv"), scan)
+    csvio.write_scan_csv(os.path.join(cfg.out_dir, "scan.csv"), scan)
+
+
+# The one declaration of the command set: name -> (help, runner).  Every
+# runner takes (cfg, args) and writes its files into cfg.out_dir.
+COMMANDS = {
+    "forward": ("solve the model and write solution/modes/stability CSVs", run_forward),
+    "synth": ("synthesize windowed observations (observations.csv)", run_synth),
+    "invert": ("recover the variable order from observations", run_invert),
+    "diagnose": ("estimate the initial-time regularity (regularity.csv)", run_diagnose),
+    "scan": ("misfit scan over candidate constant orders (scan.csv)", run_scan),
+}
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="vordiff",
+        description="Variable-order time-fractional diffusion toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, runner) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=runner)
+        p.add_argument("--config", required=True, help="path to the run config")
+        p.add_argument("--out", default=None, help="output directory override")
+        p.add_argument("--seed", type=_seed, default=None, help="seed override")
+        if runner is run_invert:
+            p.add_argument("--obs", required=True, help="observations.csv to invert")
+    return parser
 
 
 def main(argv=None) -> int:
@@ -129,18 +131,8 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out
-        out_dir = cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        if args.command == "forward":
-            run_forward(cfg, out_dir)
-        elif args.command == "synth":
-            run_synth(cfg, out_dir)
-        elif args.command == "invert":
-            run_invert(cfg, args.obs, out_dir)
-        elif args.command == "diagnose":
-            run_diagnose(cfg, out_dir)
-        elif args.command == "scan":
-            run_scan(cfg, out_dir)
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        args.run(cfg, args)
     except ConfigError as exc:
         print(f"vordiff: config error: {exc}", file=sys.stderr)
         return 2

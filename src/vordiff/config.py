@@ -164,33 +164,22 @@ class RunConfig:
             self.inversion_config()
         except DomainError as exc:
             raise ConfigError(str(exc), path) from exc
-        if not 0.0 <= self.obs_a < self.obs_b <= self.L:
-            raise ConfigError(
-                f"observation window ({self.obs_a}, {self.obs_b}) must lie "
-                f"inside [0, {self.L}]",
-                path,
-            )
-        if not all(0.0 <= c <= self.alpha_star for c in self.scan_c0_grid):
-            raise ConfigError(f"scan.c0_grid values must lie in [0, {self.alpha_star}]", path)
-        if self.synthesis_refine < 4:
-            raise ConfigError(
-                "observation.synthesis_refine must be >= 4: synthetic data has "
-                "to come from a strictly finer mesh than the inversion mesh",
-                path,
-            )
-        if not 0.0 <= self.noise_level <= MAX_NOISE_LEVEL:
-            raise ConfigError(
-                f"observation.noise_level {self.noise_level} outside "
-                f"[0, {MAX_NOISE_LEVEL}]",
-                path,
-            )
-        for key, ok, rule in (
+        for key, ok, rule in (  # in field order
+            ("observation.a", 0.0 <= self.obs_a < self.L, f"in [0, model.L = {self.L})"),
+            ("observation.b", self.obs_a < self.obs_b <= self.L,
+             f"in (observation.a, model.L = {self.L}]"),
             ("observation.x_count", self.obs_x_count >= 1, ">= 1"),
-            ("output.x_count", self.out_x_count >= 1, ">= 1"),
-            ("run.seed", self.seed >= 0, ">= 0"),
+            ("observation.noise_level", 0.0 <= self.noise_level <= MAX_NOISE_LEVEL,
+             f"in [0, {MAX_NOISE_LEVEL}]"),
+            ("observation.synthesis_refine", self.synthesis_refine >= 4,
+             ">= 4, so synthetic data comes from a strictly finer mesh than the inversion mesh"),
             ("diagnostics.gamma", 0.0 <= self.diag_gamma < np.inf, "finite and >= 0"),
             ("diagnostics.fit_lo", 0.0 < self.diag_fit_lo < self.diag_fit_hi, "in (0, fit_hi)"),
             ("diagnostics.fit_hi", self.diag_fit_hi <= self.T, f"<= model.T = {self.T}"),
+            ("scan.c0_grid", all(0.0 <= c <= self.alpha_star for c in self.scan_c0_grid),
+             f"in [0, model.alpha_star = {self.alpha_star}]"),
+            ("output.x_count", self.out_x_count >= 1, ">= 1"),
+            ("run.seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ConfigError(f"{key} must be {rule}", path)

@@ -204,11 +204,10 @@ def evaluate(field: SolutionField, x, t_index: int):
 def stability_ratio(field: SolutionField, gamma: float) -> float:
     """max_n |u(., t_n)|_gamma / |u(., 0)|_gamma, a monitored stability measure.
 
-    Both norms come from sobolev_norm: the numerator from one call on the
-    whole (N, M+1) field, the denominator from a one-column call on the
-    initial coefficients field.values[:, 0].
+    Both norms come from one sobolev_norm call on the whole (N, M+1) field,
+    so a field whose norm peaks at t = 0 gives exactly 1.0.
     """
-    denom = sobolev_norm(field.basis, field.values[:, 0], gamma)
-    if denom == 0.0:
+    norms = sobolev_norm(field.basis, field.values, gamma)
+    if norms[0] == 0.0:
         raise DomainError("stability ratio undefined for a zero initial datum")
-    return float(sobolev_norm(field.basis, field.values, gamma).max() / denom)
+    return float(norms.max() / norms[0])

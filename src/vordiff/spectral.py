@@ -101,13 +101,12 @@ def sobolev_norm(basis: SpectralBasis, coeffs, gamma: float):
     """Spectral Sobolev norm sqrt(sum_i lambda_i^gamma c_i^2).
 
     An (N,) coefficient vector gives a float; an (N, K) array gives one
-    norm per column as a (K,) array.  A column sum adds the modes in order
-    where the vector sum is pairwise, so from N = 8 on a column's norm may
-    differ from the one-column call in the last bit.  gamma = 0 is the L2
-    norm by Parseval; gamma = 2 matches the L2 norm of the second spatial
-    derivative for boundary-compatible functions.  This is the library's
-    one spectral norm: the stability ratio and the regularity diagnostics
-    all call it.
+    norm per column as a (K,) array.  Each column adds its modes in order
+    and a vector is summed as one column, so a column's norm does not depend
+    on the columns beside it.  gamma = 0 is the L2 norm by Parseval;
+    gamma = 2 matches the L2 norm of the second spatial derivative for
+    boundary-compatible functions.  This is the library's one spectral
+    norm: the stability ratio and the regularity diagnostics all call it.
     """
     if gamma < 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
@@ -115,6 +114,6 @@ def sobolev_norm(basis: SpectralBasis, coeffs, gamma: float):
     if c.ndim not in (1, 2) or c.shape[0] != basis.N:
         raise DomainError(f"coefficient shape {c.shape} does not match basis N = {basis.N}")
     weight = basis.eigenvalues() ** gamma
-    if c.ndim == 1:
-        return float(np.sqrt(np.sum(weight * c**2)))
-    return np.sqrt((weight[:, None] * c**2).sum(axis=0))
+    cols = c[:, None] if c.ndim == 1 else c
+    norms = np.sqrt(np.add.accumulate(weight[:, None] * cols**2)[-1])
+    return float(norms[0]) if c.ndim == 1 else norms

@@ -50,13 +50,19 @@ def edit_observations(head, rows, edit):
 
     nan_value / inf_value: one sample's value; nan_time, late_time (2.0)
     and zero_time (0.0): the time of every sample at the last (first) time,
-    so the (x, t) grid stays complete; nan_noise: the noise_level comment.
+    so the (x, t) grid stays complete; nan_noise: the noise_level comment;
+    outside_rod: every x and the window moved by +10, off the rod [0, pi].
     """
     if edit == "nan_noise":
         return ["# noise_level = nan" if ln.startswith("# noise_level") else ln for ln in head] + rows
     cells = [row.split(",") for row in rows]
     if edit in ("nan_value", "inf_value"):
         cells[0][2] = edit[:3]
+    elif edit == "outside_rod":
+        head = ["# window = " + ",".join(repr(float(v) + 10.0) for v in ln.split("=")[1].split(","))
+                if ln.startswith("# window") else ln for ln in head]
+        for c in cells:
+            c[0] = repr(float(c[0]) + 10.0)
     else:
         times = sorted({c[1] for c in cells}, key=float)
         old, new = {"nan_time": (times[-1], "nan"), "late_time": (times[-1], "2.0"),

@@ -180,7 +180,9 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "inv")]) == 2
         assert str(obs) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", OBSERVATION_EDITS + ("late_time", "zero_time"))
+    @pytest.mark.parametrize(
+        "edit", OBSERVATION_EDITS + ("late_time", "zero_time", "outside_rod")
+    )
     def test_bad_observation_values_exit_2(self, tmp_path, capsys, edit):
         cfg, head, rows = self._synth(tmp_path)
         obs = tmp_path / "broken.csv"

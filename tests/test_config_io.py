@@ -116,6 +116,10 @@ class TestConfigParsing:
             ("inversion.tikhonov = inf\n", "tikhonov weight must be finite"),
             ("inversion.init = nan\n", "initial guess must be finite"),
             ("mesh.r = nan\n", "mesh grading r must be finite"),
+            ("observation.a = -0.5\n", "observation.a must be"),
+            ("observation.b = 4.0\n", "observation.b must be"),
+            ("observation.noise_level = 0.2\n", "observation.noise_level must be"),
+            ("observation.noise_level = nan\n", "observation.noise_level must be"),
         ],
     )
     def test_inversion_values_checked_at_load(self, extra, match):

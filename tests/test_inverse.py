@@ -334,7 +334,7 @@ class TestStopReason:
 @pytest.mark.xfail(
     strict=True,
     reason="Gauss-Newton stalls on the alpha(0) = 0 bound; the active-set "
-    "step of ROADMAP item 3 is still open",
+    "step of ROADMAP item 2 is still open",
 )
 def test_truth_on_admissible_bound_recovered():
     obs = twin_observations((0.0, 0.3), t_count=256)
