@@ -26,7 +26,6 @@ from .forward import (
     ModelSpec,
     SolutionField,
     default_grading,
-    evaluate,
     solve_forward,
     solve_mode,
     stability_ratio,
@@ -59,7 +58,6 @@ from .spectral import (
     analyze,
     analyze_function,
     sobolev_norm,
-    synthesize,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +86,6 @@ __all__ = [
     "caputo_order_sensitivity",
     "caputo_vo",
     "default_grading",
-    "evaluate",
     "extract_modes",
     "frac_integral_vo",
     "jacobian",
@@ -102,7 +99,6 @@ __all__ = [
     "solve_mode",
     "stability_ratio",
     "step_modes",
-    "synthesize",
     "synthesize_observations",
     "uniqueness_scan",
     "fit_singularity_exponent",

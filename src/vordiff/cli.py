@@ -17,7 +17,7 @@ from .config import RunConfig
 from .diagnostics import MIN_FIT_SAMPLES, MIN_MESH_M, fit_window_mask, regularity_report
 from .errors import ConfigError, VordiffError
 from .forward import solve_forward, stability_ratio
-from .inverse import recover_order, synthesize_observations, uniqueness_scan
+from .inverse import check_observations, recover_order, synthesize_observations, uniqueness_scan
 
 
 def _seed(text):
@@ -54,15 +54,13 @@ def run_synth(cfg: RunConfig, args):
 
 
 def run_invert(cfg: RunConfig, args):
+    model = cfg.model_spec(with_order=False)
     try:
         obs = csvio.read_observations_csv(args.obs)
+        check_observations(obs, model)
     except (OSError, KeyError, IndexError, ValueError) as exc:
         raise ConfigError(f"cannot read observations: {exc}", args.obs) from None
-    if not (obs.t_points.min() > 0.0 and obs.t_points.max() <= cfg.T):
-        raise ConfigError(f"observation times must lie in (0, model.T = {cfg.T}]", args.obs)
-    if not (0.0 <= obs.window[0] and obs.window[1] <= cfg.L):
-        raise ConfigError(f"observation window must lie in [0, model.L = {cfg.L}]", args.obs)
-    result = recover_order(obs, cfg.model_spec(with_order=False), cfg.inversion_config())
+    result = recover_order(obs, model, cfg.inversion_config())
     csvio.write_inversion_csv(os.path.join(cfg.out_dir, "inversion.csv"), result)
     csvio.write_residual_history_csv(
         os.path.join(cfg.out_dir, "residual_history.csv"), result.residual_history

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .fracops import OrderFunction, TimeMesh, _l1_increments, polyval
-from .spectral import SpectralBasis, analyze, analyze_function, sobolev_norm, synthesize
+from .spectral import SpectralBasis, analyze, analyze_function, sobolev_norm
 
 
 def default_grading(alpha0: float) -> float:
@@ -190,15 +190,6 @@ def solve_forward(spec: ModelSpec, mesh: TimeMesh, N: int) -> SolutionField:
     total = float(np.linalg.norm(c0))
     tail = abs(float(c0[-1])) / total if total > 0.0 else 0.0
     return SolutionField(basis, mesh, u, tail_ratio=tail)
-
-
-def evaluate(field: SolutionField, x, t_index: int):
-    """Solution values at stored node t_index, synthesized at x."""
-    if not 0 <= t_index <= field.mesh.M:
-        raise DomainError(f"t_index {t_index} outside 0..{field.mesh.M}")
-    scalar = np.isscalar(x)
-    out = synthesize(field.basis, field.values[:, t_index], np.atleast_1d(x))
-    return float(out[0]) if scalar else out
 
 
 def stability_ratio(field: SolutionField, gamma: float) -> float:

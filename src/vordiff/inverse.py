@@ -222,6 +222,14 @@ def extract_modes(obs: ObservationSet, basis: SpectralBasis, n_modes: int) -> Mo
     return ModeExtraction(values=sol, condition_number=cond)
 
 
+def check_observations(obs: ObservationSet, model: ModelSpec):
+    """Reject observations off the model: times outside (0, T], a window outside [0, L]."""
+    if not np.all((obs.t_points > 0.0) & (obs.t_points <= model.T)):
+        raise DomainError(f"observation times must lie in (0, model.T = {model.T}]")
+    if not (0.0 <= obs.window[0] and obs.window[1] <= model.L):
+        raise DomainError(f"observation window must lie in [0, model.L = {model.L}]")
+
+
 class _Inversion:
     """What one inversion of obs computes once, whatever the candidate order:
     the mesh of the observation times (plus t = 0), the basis eigenvalues,
@@ -229,6 +237,7 @@ class _Inversion:
     """
 
     def __init__(self, obs: ObservationSet, model: ModelSpec, config: InversionConfig):
+        check_observations(obs, model)
         self.obs = obs
         self.model = model
         self.config = config

@@ -4,6 +4,8 @@ The basis is orthonormalized: phi_i(x) = sqrt(2/L) sin(i pi x / L), so
 analysis and synthesis are exact inverses on band-limited data and
 Parseval holds without stray L/2 factors.  SpectralBasis.eigenvalues()
 and .design_matrix(x) are the only places lambda_i and phi_i are written.
+Synthesis is the product design_matrix(x) @ coefficients: an (N,) vector
+gives values at x, an (N, K) array one column of values per column.
 """
 
 from __future__ import annotations
@@ -84,17 +86,6 @@ def analyze_function(basis: SpectralBasis, fn) -> np.ndarray:
     """Sample fn on the default uniform grid and analyze."""
     x = np.linspace(0.0, basis.L, default_grid_points(basis.N))
     return analyze(basis, np.asarray(fn(x), dtype=float))
-
-
-def synthesize(basis: SpectralBasis, coeffs, x_points):
-    """Pointwise sum_i c_i phi_i(x) for an (N,) coefficient vector."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (basis.N,):
-        raise DomainError(f"coefficient shape {c.shape} does not match basis N = {basis.N}")
-    x = np.asarray(x_points, dtype=float)
-    if x.size and (x.min() < 0.0 or x.max() > basis.L):
-        raise DomainError(f"x points must lie in [0, {basis.L}]")
-    return basis.design_matrix(x) @ c
 
 
 def sobolev_norm(basis: SpectralBasis, coeffs, gamma: float):

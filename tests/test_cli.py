@@ -90,6 +90,20 @@ class TestForwardCommand:
         err = capsys.readouterr().err
         assert "output.x_count" in err and "Traceback" not in err
 
+    def test_negative_reaction_exit_1(self, tmp_path, capsys):
+        # k = -1000 makes a step coefficient 1/h + k w + lam negative
+        text = TWIN_CFG.replace("model.k_coeffs = 1.0", "model.k_coeffs = -1000.0")
+        cfg = write_cfg(tmp_path, text.replace("0.3, 0.2", "0.5"))
+        assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vordiff: numerical failure: non-invertible step coefficient")
+        assert "at node 2" in err
+
+    def test_out_names_a_file_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TWIN_CFG)
+        assert main(["forward", "--config", cfg, "--out", cfg]) == 2
+        assert capsys.readouterr().err.startswith("vordiff: i/o error: [Errno 17] File exists")
+
 
 class TestSynthInvertScanDiagnose:
     def test_full_workflow(self, tmp_path):
@@ -126,6 +140,18 @@ class TestSynthInvertScanDiagnose:
         assert row["alpha0"] == 0.3
         assert row["expected_slope"] == -0.3
         assert row["verdict"] == "singular"
+
+    def test_diagnose_zero_field(self, tmp_path):
+        # a zero datum has no second differences to fit: slope 0, verdict smooth
+        u0 = tmp_path / "u0.csv"
+        u0.write_text("x,u0\n" + "".join(f"{v!r},0.0\n" for v in np.linspace(0.0, np.pi, 8193).tolist()))
+        text = TWIN_CFG.replace("model.u0 = parabola", f"model.u0 = file:{u0}")
+        text = text.replace("0.3, 0.2", "0.5").replace("mesh.M = 64", "mesh.M = 256")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "regularity.csv").read_text().splitlines()
+        assert rows[1:] == ["0.5,0.0,-0.5,0.0,smooth"]
 
     def test_diagnose_coarse_mesh_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TWIN_CFG.replace("mesh.M = 64", "mesh.M = 4"))

@@ -10,7 +10,6 @@ from vordiff import (
     OrderFunction,
     TimeMesh,
     default_grading,
-    evaluate,
     l1_weights,
     solve_forward,
     solve_mode,
@@ -165,9 +164,8 @@ class TestSolveForward:
         spec = spec_with(OrderFunction((0.3, 0.2), 0.95, 1.0), u0=PARABOLA)
         mesh = TimeMesh(1.0, 512, default_grading(0.3))
         field = solve_forward(spec, mesh, 8)
-        assert evaluate(field, L / 2, 512) == pytest.approx(
-            REFERENCE_FIELD_MIDPOINT, abs=1e-12
-        )
+        (u_mid,) = field.basis.design_matrix([L / 2]) @ field.values[:, 512]
+        assert u_mid == pytest.approx(REFERENCE_FIELD_MIDPOINT, abs=1e-12)
 
     def test_mode_decoupling_bitwise(self):
         spec = spec_with(OrderFunction((0.3, 0.2), 0.95, 1.0), u0=PARABOLA)
@@ -189,25 +187,6 @@ class TestSolveForward:
         a = solve_forward(spec, mesh, 4).values
         b = solve_forward(spec, mesh, 4).values
         assert np.array_equal(a, b)
-
-
-class TestEvaluate:
-    def test_matches_mode_sum(self):
-        spec = spec_with(OrderFunction((0.4,), 0.9, 1.0), u0=PARABOLA)
-        mesh = TimeMesh(1.0, 64, 2.0)
-        field = solve_forward(spec, mesh, 6)
-        x = 1.1
-        direct = sum(
-            field.values[i][30] * np.sqrt(2 / L) * np.sin((i + 1) * x)
-            for i in range(6)
-        )
-        assert evaluate(field, x, 30) == pytest.approx(direct, rel=1e-12)
-
-    def test_bad_index(self):
-        spec = spec_with(OrderFunction((0.4,), 0.9, 1.0))
-        field = solve_forward(spec, TimeMesh(1.0, 16, 1.0), 2)
-        with pytest.raises(DomainError):
-            evaluate(field, 0.5, 17)
 
 
 class TestStabilityRatio:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,27 @@ class TestRecoverOrder:
         dead_model = template(k=(0.0,))
         with pytest.raises(DomainError, match="k\\(0\\)"):
             recover_order(obs, dead_model, InversionConfig(n_modes=8))
+
+    @pytest.mark.parametrize("edit", ["shifted_window", "late_time"])
+    def test_observations_off_the_model_rejected(self, edit):
+        # x points and window moved by +L lie off the rod [0, L]; t = 2 is past T = 1
+        obs = twin_observations((0.3, 0.2), t_count=64)
+        if edit == "shifted_window":
+            obs = dataclasses.replace(obs, window=(obs.window[0] + L, obs.window[1] + L),
+                                      x_points=obs.x_points + L)
+            match = "observation window"
+        else:
+            obs = dataclasses.replace(obs, t_points=np.append(obs.t_points[:-1], 2.0))
+            match = "observation times"
+        cfg = InversionConfig(degree=1, n_modes=8)
+        for run in (
+            lambda: recover_order(obs, template(), cfg),
+            lambda: uniqueness_scan(obs, template(), [(0.3, 0.2)], cfg),
+            lambda: residual((0.3, 0.2), obs, template(), cfg),
+            lambda: jacobian((0.3, 0.2), obs, template(), cfg),
+        ):
+            with pytest.raises(DomainError, match=match):
+                run()
 
 
 class TestStopReason:

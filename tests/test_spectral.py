@@ -14,7 +14,6 @@ from vordiff import (
     analyze,
     analyze_function,
     sobolev_norm,
-    synthesize,
 )
 from vordiff.spectral import default_grid_points
 
@@ -132,20 +131,8 @@ class TestSynthesize:
             lambda s: np.sqrt(2) * (0.3 * np.sin(np.pi * s) - 1.2 * np.sin(3 * np.pi * s)),
         ):
             c = analyze(basis, fn(x))
-            back = synthesize(basis, c, x)
+            back = basis.design_matrix(x) @ c
             assert np.abs(back - fn(x)).max() <= 1e-8
-
-    def test_rejects_out_of_domain_points(self):
-        basis = SpectralBasis(1.0, 1.0, 2)
-        c = np.array([1.0, 0.0])
-        with pytest.raises(DomainError):
-            synthesize(basis, c, [1.5])
-
-    def test_rejects_coefficients_not_shaped_n(self):
-        basis = SpectralBasis(1.0, 1.0, 3)
-        for bad in (np.ones((3, 1)), np.ones(4)):
-            with pytest.raises(DomainError, match="does not match basis N = 3"):
-                synthesize(basis, bad, [0.5])
 
 
 class TestSobolevNorm:
