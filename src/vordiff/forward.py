@@ -11,11 +11,13 @@ in the Dirichlet sine basis decouples it into one scalar problem per mode:
 Every mode follows the same first-order implicit scheme: backward
 difference for u', the L1 history sum for the Caputo term with the
 current-step weight moved to the implicit side, and k, alpha frozen at
-the new node.  step_modes advances all modes together: each node builds
-one row of raw kernel increments and applies it to the modes' slopes,
-and the node scalars and step coefficients are computed and checked once
-per pass.  Cost is O(M^2) for the increments plus O(M^2) per mode for the
-history sums.
+the new node.  step_modes advances all modes together, STEP_BLOCK nodes
+at a time: each block builds its rows of raw kernel increments at once,
+applies them to every mode's slopes from before the block, and solves
+the block's small lower-triangular system for all modes in one call.
+The node scalars and step coefficients are computed and checked once per
+pass.  Cost is O(M^2) for the increments plus O(M^2) per mode for the
+history sums, in M / STEP_BLOCK Python iterations.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fracops import OrderFunction, TimeMesh, _l1_increments, polyval
+from .fracops import OrderFunction, TimeMesh, _check_orders, _l1_increments, polyval
 from .spectral import SpectralBasis, analyze, analyze_function, sobolev_norm
+
+STEP_BLOCK = 16  # nodes per block in step_modes
 
 
 def default_grading(alpha0: float) -> float:
@@ -117,56 +121,85 @@ class SolutionField:
 def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None) -> np.ndarray:
     """Step u_i' + k(t) D^{alpha(t)} u_i = -lam_i u_i + f_i(t) for all modes.
 
-    a and k hold alpha(t_n) and k(t_n) at every node; lam and u0 hold one
-    eigenvalue and start value per mode; forcing, if given, holds f_i(t_n)
-    as an (N, M+1) array whose column 0 is not used.  At node t_n each
-    mode solves one scalar linear equation
+    a and k hold alpha(t_n) and k(t_n) at every node, as (M+1,) arrays;
+    lam and u0 hold one eigenvalue and start value per mode; forcing, if
+    given, holds f_i(t_n) as an (N, M+1) array whose column 0 is not used.
+    At node t_n each mode satisfies one linear equation
 
         u_n (d_n + lam) = u_{n-1} d_n - H_n + f_n,   d_n = 1/h_n + k_n w_n,
 
     with w_n = h_n^(-a_n) / Gamma(2 - a_n) the implicit L1 weight and the
     history H_n = (k_n / Gamma(2 - a_n)) sum_{j<n} (p_{j-1} - p_j) s_j on
-    the slopes s_j = (u_j - u_{j-1}) / h_j, each stored once, with the raw
-    kernel increments of fracops._l1_increments at order a_n: no row is
-    divided by Gamma(2 - a_n) h_j.  The node scalars and every coefficient
-    d_n + lam_i are computed once per pass and checked before any node is
-    stepped.  For k >= 0, lam > 0 they are strictly positive, making the
-    scheme unconditionally stable; otherwise the first failing node, and
-    the first failing mode there, is reported.  Returns u_i(t_n) as an
-    (N, M+1) array.
+    the slopes s_j = (u_j - u_{j-1}) / h_j, with the raw kernel increments
+    of fracops._l1_increments at order a_n: no row is divided by
+    Gamma(2 - a_n) h_j.  Shapes and orders (in [0, 1)) are checked first;
+    then the node scalars and every coefficient d_n + lam_i are computed
+    once per pass and checked before any row is built.  For k >= 0,
+    lam > 0 they are strictly positive, making the scheme unconditionally
+    stable; otherwise the first failing node, and the first failing mode
+    there, is reported.  Returns u_i(t_n) as an (N, M+1) array.
 
-    The history sum runs row by row, so a mode's trajectory is bitwise the
-    same whichever other modes share the call.
+    The nodes are stepped STEP_BLOCK at a time.  A block's increment rows
+    are built together into two work buffers allocated once per call; the
+    history from before the block is one matrix-vector product per mode,
+    and the block's own equations form the lower-triangular system
+    (T0 + lam_i I) u = r_i, where T0 does not depend on the mode, solved
+    for all modes by one stacked solve.  A mode's arithmetic never mixes
+    with another's, so its trajectory is bitwise the same whichever other
+    modes share the call.
     """
-    lam = np.asarray(lam, dtype=float)
+    a, k = np.asarray(a, dtype=float), np.asarray(k, dtype=float)
+    lam, u0 = np.asarray(lam, dtype=float), np.asarray(u0, dtype=float)
+    forcing = None if forcing is None else np.asarray(forcing, dtype=float)
+    M, N = mesh.M, lam.size
+    for name, value, shape in (("a", a, (M + 1,)), ("k", k, (M + 1,)), ("lam", lam, (N,)),
+                               ("u0", u0, (N,)), ("forcing", forcing, (N, M + 1))):
+        if value is not None and value.shape != shape:
+            raise DomainError(f"{name} has shape {value.shape}, expected {shape}")
+    _check_orders(a)
     if np.any(lam <= 0.0):
         raise DomainError(f"eigenvalue must be positive, got {lam[lam <= 0.0][0]}")
-    h, a_n, k_n = mesh.spacing, np.asarray(a, dtype=float)[1:], np.asarray(k, dtype=float)[1:]
-    gam = np.fromiter(map(math.gamma, 2.0 - a_n), float, a_n.size)
-    d = 1.0 / h + k_n * (h**-a_n / gam)
+    h, a_n, k_n = mesh.spacing, a[1:], k[1:]
+    gam = np.fromiter(map(math.gamma, 2.0 - a_n), float, M)
+    k_gam = k_n / gam
+    d = 1.0 / h + k_gam * h**-a_n
     coef = d[:, None] + lam  # (M, N) step coefficients, node-major
     ok = (coef > 0.0) & (coef < np.inf)  # false for NaN too
     if not ok.all():
-        n, i = divmod(int(np.argmin(ok)), lam.size)  # first failing node, then mode
+        n, i = divmod(int(np.argmin(ok)), N)  # first failing node, then mode
         raise NumericalError(
             f"non-invertible step coefficient {coef[n, i]:.6g} at node {n + 1} "
             f"(t = {mesh.nodes[n + 1]:.6g}, k = {k_n[n]:.6g}, lam = {lam[i]:.6g}, "
             f"alpha = {a_n[n]:.6g}); the scheme requires k >= 0 and lam > 0"
         )
-    u = np.empty((lam.size, mesh.M + 1))
-    s = np.empty((lam.size, mesh.M))  # slopes (u_j - u_{j-1}) / h_j
+    u = np.empty((N, M + 1))
+    s = np.empty((N, M))  # slopes (u_j - u_{j-1}) / h_j
     u[:, 0] = u0
-    u_prev = u[:, 0]
-    # per-node scalars as Python floats: cheaper than numpy scalars, same arithmetic
-    nodes = zip(a_n.tolist(), d.tolist(), (k_n / gam).tolist(), h.tolist(), coef)
-    for n, (a_val, d_val, k_gam, h_val, coef_row) in enumerate(nodes, start=1):
-        p = _l1_increments(mesh, n, a_val)
-        rhs = u_prev * d_val - k_gam * np.einsum("ij,j->i", s[:, : n - 1], p[:-1])
+    B = min(STEP_BLOCK, M)
+    p, inc = np.empty((B, M + 1)), np.empty((B, M))  # one block's kernel rows
+    hist, A = np.empty((N, B, 1)), np.empty((N, B, B))
+    diag = np.arange(B)
+    for first in range(1, M + 1, B):
+        last = min(first + B - 1, M)
+        b, m = last - first + 1, first - 1  # block size, slopes before it
+        blk = slice(m, last)
+        rows = _l1_increments(mesh, first, a[first : last + 1], p, inc)
+        # history before the block: numpy runs a stacked matmul as one gemv
+        # per mode, so no mode's sum depends on the others (a GEMM's would)
+        np.matmul(rows[:, :m], s[:, :m, None], out=hist[:, :b])
+        # in-block history: sum_j C[n, j] (u_j - u_{j-1}), C = (I + k_gam inc) / h_j,
+        # regrouped on u_j into T0; u_{first-1} goes to the right-hand side
+        C = (np.eye(b) + k_gam[blk, None] * rows[:, blk]) / h[blk]
+        T0 = C.copy()
+        T0[:, :-1] -= C[:, 1:]
+        rhs = C[:, :1] * u[:, m, None, None] - k_gam[blk, None] * hist[:, :b]
         if forcing is not None:
-            rhs += forcing[:, n]
-        u[:, n] = u_next = rhs / coef_row
-        s[:, n - 1] = (u_next - u_prev) / h_val
-        u_prev = u_next
+            rhs += forcing[:, first : last + 1, None]
+        Ab = A[:, :b, :b]
+        Ab[:] = T0
+        Ab[:, diag[:b], diag[:b]] += lam[:, None]
+        u[:, first : last + 1] = np.linalg.solve(Ab, rhs)[:, :, 0]
+        s[:, blk] = np.diff(u[:, m : last + 1], axis=1) / h[blk]
     if not np.all(np.isfinite(u)):
         raise NumericalError("trajectory contains non-finite values")
     return u

@@ -196,17 +196,41 @@ def _check_node(mesh, n):
         raise DomainError(f"node index n = {n} outside 1..{mesh.M}")
 
 
-def _l1_increments(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
-    """Raw L1 kernel increments p_{j-1} - p_j, p_j = (t_n - t_j)^(1-a), j = 1..n.
+def _check_orders(a):
+    """Raise DomainError unless every order value in a lies in [0, 1)."""
+    ok = (a >= 0.0) & (a < 1.0)  # false for NaN too
+    if not ok.all():
+        raise DomainError(f"order value {a[~ok][0]} outside [0, 1)")
 
-    At a = 0 they are the steps h_j themselves, so that l1_weights is
-    exactly 1 there; that row is a view of mesh.spacing, not to be written.
+
+def _l1_increments(mesh: TimeMesh, first: int, a, p=None, inc=None) -> np.ndarray:
+    """Raw L1 kernel increments at the nodes n = first..last, one row each.
+
+    a holds the orders of the b = last - first + 1 rows.  Row n holds
+    p_{j-1} - p_j, p_j = (t_n - t_j)^(1-a_n) (0 for t_j >= t_n), for
+    j = 1..last: zeros after j = n.  At a_n = 0 the row is the steps h_j
+    themselves, so that l1_weights is exactly 1 there.  Kernel values go to
+    the work buffer p, at least (b, last + 1), and the increments to inc,
+    at least (b, last), both allocated here if not given; the (b, last)
+    view of inc is returned.  The rows share one power pass, whose exponent
+    is a Python float when the order is constant over them: numpy's fast
+    scalar paths, such as sqrt at a = 0.5, apply then.
     """
-    if alpha_n == 0.0:
-        return mesh.spacing[:n]
+    a = np.asarray(a, dtype=float)
+    b = a.size
+    last = first + b - 1
     t = mesh.nodes
-    p = (t[n] - t[: n + 1]) ** (1.0 - alpha_n)  # p[n] = 0 exactly
-    return p[:-1] - p[1:]
+    p = np.empty((b, last + 1)) if p is None else p[:b, : last + 1]
+    inc = np.empty((b, last)) if inc is None else inc[:b, :last]
+    np.subtract(t[first : last + 1, None], t[: last + 1], out=p)
+    np.maximum(p[:, first:], 0.0, out=p[:, first:])  # the in-block upper triangle, t_j > t_n
+    p **= float(1.0 - a[0]) if (a == a[0]).all() else (1.0 - a)[:, None]
+    np.subtract(p[:, :-1], p[:, 1:], out=inc)
+    zero = a == 0.0
+    if zero.any():
+        n = np.arange(first, last + 1)[zero, None]
+        inc[zero] = np.where(np.arange(1, last + 1) <= n, mesh.spacing[:last], 0.0)
+    return inc
 
 
 def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
@@ -219,7 +243,7 @@ def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
     g_n - g_0.
     """
     h = mesh.spacing[:n]
-    return _l1_increments(mesh, n, alpha_n) / (math.gamma(2.0 - alpha_n) * h)
+    return _l1_increments(mesh, n, [alpha_n])[0] / (math.gamma(2.0 - alpha_n) * h)
 
 
 def frac_integral_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
@@ -287,9 +311,7 @@ def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
     q_j = p_j ln(t_n - t_j).  psi(2-a) = _digamma(1-a) + 1/(1-a) keeps
     _digamma on (0, 1]; Gamma(2-a) is one math.gamma value per row.
     """
-    ok = (a >= 0.0) & (a < 1.0)
-    if not ok.all():
-        raise DomainError(f"order value {a[~ok][0]} outside [0, 1)")
+    _check_orders(a)
     oma = 1.0 - a
     t = mesh.nodes
     tau = np.maximum(t[n, None] - t[: n.max() + 1], 0.0)  # zero for j >= n

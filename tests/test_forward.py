@@ -17,6 +17,7 @@ from vordiff import (
     step_modes,
 )
 import vordiff.forward
+from vordiff.forward import STEP_BLOCK
 
 L = np.pi
 MODE1 = lambda x: np.sqrt(2.0 / L) * np.sin(np.asarray(x))
@@ -125,6 +126,33 @@ class TestSolveMode:
                 step_modes(mesh, np.full(65, 0.5), 1.0 - 16.0 * mesh.nodes, [4.0, 1.0], [1.0, 1.0])
         assert rows == []  # no node was stepped
 
+    @pytest.mark.parametrize("bad", ["u0", "forcing", "order_one", "a_short", "k_short", "order_negative"])
+    def test_inputs_checked_before_any_row(self, monkeypatch, bad):
+        # mesh M = 8, two modes: a mis-shaped input must not be broadcast,
+        # and an order outside [0, 1) must not reach the kernel rows
+        mesh = TimeMesh(1.0, 8, 1.0)
+        inputs = dict(a=np.full(9, 0.5), k=np.ones(9), u0=np.array([1.0, 0.5]),
+                      forcing=np.zeros((2, 9)))
+        inputs.update({
+            "u0": dict(u0=np.array([1.0])),
+            "forcing": dict(forcing=np.zeros((1, 9))),
+            "order_one": dict(a=np.ones(9)),
+            "a_short": dict(a=np.full(8, 0.5)),
+            "k_short": dict(k=np.ones(8)),
+            "order_negative": dict(a=np.r_[np.full(8, 0.5), -0.1]),
+        }[bad])
+        rows = []
+        increments = vordiff.forward._l1_increments
+        monkeypatch.setattr(
+            vordiff.forward, "_l1_increments", lambda *args: rows.append(args) or increments(*args)
+        )
+        with pytest.raises(DomainError):
+            step_modes(mesh, inputs["a"], inputs["k"], [1.0, 4.0], inputs["u0"], inputs["forcing"])
+        assert rows == []
+        # the patched builder sees every block of a valid call
+        step_modes(TimeMesh(1.0, 33, 1.0), np.full(34, 0.5), np.ones(34), [1.0, 4.0], [1.0, 0.5])
+        assert len(rows) == -(-33 // STEP_BLOCK)
+
     def test_needs_order(self):
         spec = spec_with(None)
         with pytest.raises(DomainError):
@@ -134,7 +162,9 @@ class TestSolveMode:
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("coeffs", [(0.5,), (0.3, 0.2), (0.0, 0.4), (0.0,), (0.9,)])
 @pytest.mark.parametrize("r", [1.0, 2.5, 4.0])
-@pytest.mark.parametrize("M", [64, 300, 2048])
+# M = 1, 15, 16, 17, 33: one node, a block less one, one block, a block
+# plus one, two blocks plus one
+@pytest.mark.parametrize("M", [64, 300, 2048, 1, 15, 16, 17, 33])
 def test_step_modes_matches_weight_row_stepper(M, r, coeffs, forced):
     mesh = TimeMesh(1.0, M, r)
     a = OrderFunction(coeffs, 0.95, 1.0)(mesh.nodes)
@@ -145,6 +175,43 @@ def test_step_modes_matches_weight_row_stepper(M, r, coeffs, forced):
     got = step_modes(mesh, a, k, lam, u0, forcing)
     want = reference_step_modes(mesh, a, k, lam, u0, forcing)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("M", [48, 64])
+def test_step_modes_order_zero_inside_block(M, forced):
+    # alpha(t) = 0.4 - 1.6 t + 1.6 t^2 vanishes at t = 0.5 only: at node 24,
+    # mid-block, for M = 48 and at node 32, a block's last node, for M = 64
+    mesh = TimeMesh(1.0, M, 1.0)
+    a = OrderFunction((0.4, -1.6, 1.6), 0.95, 1.0)(mesh.nodes)
+    assert a[M // 2] == 0.0 and np.all(np.delete(a, M // 2) > 0.0)
+    k = 1.0 + 0.5 * mesh.nodes
+    lam = np.array([1.0, 4.0, 9.0])
+    u0 = np.array([1.0, -0.5, 0.25])
+    forcing = np.cos(np.outer(lam, mesh.nodes)) if forced else None
+    got = step_modes(mesh, a, k, lam, u0, forcing)
+    want = reference_step_modes(mesh, a, k, lam, u0, forcing)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("M", [17, 2048])
+def test_step_modes_batch_bitwise(M):
+    # every mode's trajectory is bitwise the one it gets alone, also when
+    # the batch repeats an eigenvalue (as the Jacobian's tangent pass does)
+    # and at M = 2048, where one history product is large enough for BLAS
+    # to split it over threads
+    mesh = TimeMesh(1.0, M, 2.5)
+    a = OrderFunction((0.3, 0.2), 0.95, 1.0)(mesh.nodes)
+    k = 1.0 + 0.5 * mesh.nodes
+    lam = np.array([1.0, 4.0, 9.0, 1.0, 25.0, 4.0])
+    u0 = np.array([1.0, -0.5, 0.25, 0.0, 0.1, 2.0])
+    forcing = np.cos(np.outer(np.arange(1.0, 7.0), mesh.nodes))
+    for f in (None, forcing):
+        batch = step_modes(mesh, a, k, lam, u0, f)
+        for i in range(lam.size):
+            solo = step_modes(mesh, a, k, lam[i : i + 1], u0[i : i + 1],
+                              None if f is None else f[i : i + 1])
+            assert np.array_equal(solo[0], batch[i])
 
 
 class TestSolveForward:
