@@ -58,9 +58,9 @@ class ObservationSet:
         self.values = np.asarray(self.values, dtype=float)
         if not all(np.isfinite(v).all() for v in (self.x_points, self.t_points, self.values)):
             raise DomainError("observation x points, t points and values must be finite")
-        if self.x_points.size and not (
-            self.x_points.min() > a and self.x_points.max() < b
-        ):
+        if not (self.x_points.size and self.t_points.size):
+            raise DomainError("observations need at least one x point and one t point")
+        if not (self.x_points.min() > a and self.x_points.max() < b):
             raise DomainError("x points must lie strictly inside the window")
         if self.values.shape != (self.x_points.size, self.t_points.size):
             raise DomainError(
@@ -300,14 +300,19 @@ def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
 def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig) -> InversionResult:
     """Projected Gauss-Newton over the polynomial order coefficients.
 
-    Minimizes |residual|^2 + tikhonov |c - c_prior|^2 from init_coeffs
-    padded with zeros, halving steps that do not decrease the objective
-    and projecting every iterate into the admissible bounds
-    with project_admissible, the exact check that OrderFunction applies.
+    Minimizes |r(c)|^2 for the stacked residual
+    r(c) = [residual(c); sqrt(tikhonov) (c - c_prior)] from init_coeffs
+    padded with zeros.  Each step is the least-squares solution of
+    [J; sqrt(tikhonov) I] delta = -r by np.linalg.lstsq: an SVD that drops
+    singular values below eps * max(rows, columns) times the largest, so a
+    rank-deficient J gives the minimum-norm step.  J^T J is never formed.
+    Steps that do not decrease |r|^2 are halved, and every iterate is
+    projected into the admissible bounds with project_admissible, the
+    exact check that OrderFunction applies.
     Each trial step is solved once; the Jacobian at the accepted iterate
     reuses that trajectory.  stop_reason records why the loop ended:
     "tolerance" (converged), "max_iter", or "no_descent" (every halving
-    of the step failed to decrease the objective).
+    of the step failed to decrease |r|^2).
     Requires a nonzero initial datum and k(0) != 0, without which the data
     does not determine the order.
     """
@@ -323,39 +328,31 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     c[: np.size(config.init_coeffs)] = config.init_coeffs
     c = project_admissible(c, model.T, config.alpha_star)
     prior = c.copy()
-    mu = config.tikhonov
-
-    def objective(coeffs, res):
-        return float(res @ res + mu * np.sum((coeffs - prior) ** 2))
+    root_mu = np.sqrt(config.tikhonov)
 
     a, u = inv.solve(c)
     res = inv.residual(u)
+    r = np.concatenate((res, root_mu * (c - prior)))
     history = [float(np.linalg.norm(res))]
-    obj = objective(c, res)
     stop_reason = "max_iter"
     for _ in range(config.max_iter):
         J = inv.jacobian(c.size, a, u)
-        lhs = J.T @ J + mu * np.eye(c.size)
-        rhs = -(J.T @ res) - mu * (c - prior)
-        try:
-            delta = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        delta = np.linalg.lstsq(np.vstack((J, root_mu * np.eye(c.size))), -r, rcond=None)[0]
         step = 1.0
         for _ in range(STEP_HALVINGS):
             cand = project_admissible(c + step * delta, model.T, config.alpha_star)
             cand_a, cand_u = inv.solve(cand)
             cand_res = inv.residual(cand_u)
-            cand_obj = objective(cand, cand_res)
-            if cand_obj <= obj:
+            cand_r = np.concatenate((cand_res, root_mu * (cand - prior)))
+            if cand_r @ cand_r <= r @ r:
                 break
             step *= 0.5
         else:
             stop_reason = "no_descent"
             break
         moved = float(np.abs(cand - c).max())
-        c, a, u, res, obj = cand, cand_a, cand_u, cand_res, cand_obj
-        history.append(float(np.linalg.norm(res)))
+        c, a, u, r = cand, cand_a, cand_u, cand_r
+        history.append(float(np.linalg.norm(cand_res)))
         rel_drop = abs(history[-2] - history[-1]) / max(1.0, history[-1])
         if moved <= config.gn_tolerance or rel_drop <= config.gn_tolerance:
             stop_reason = "tolerance"

@@ -86,6 +86,14 @@ class TestSynthesizeObservations:
         assert obs.x_points.max() < WINDOW[1]
 
 
+@pytest.mark.parametrize("x_count, t_count", [(0, 4), (3, 0), (0, 0)])
+def test_empty_observation_set_rejected(x_count, t_count):
+    xs = WINDOW[0] + (WINDOW[1] - WINDOW[0]) * np.arange(1, x_count + 1) / (x_count + 1)
+    ts = np.linspace(0.25, 1.0, t_count)
+    with pytest.raises(DomainError, match="at least one x point and one t point"):
+        ObservationSet(WINDOW, xs, ts, np.zeros((x_count, t_count)), 0.0, 0)
+
+
 class TestExtractModes:
     def test_single_mode(self):
         u0 = lambda x: np.sqrt(2 / L) * np.sin(np.asarray(x))
@@ -347,6 +355,17 @@ class TestStopReason:
         res = recover_order(obs, template(), cfg)
         assert not res.converged and res.stop_reason == "max_iter"
         assert res.iterations == 1
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_single_observation_time_converges(self, degree):
+        # one time, t = 6.9e-6: the columns of J differ by powers of t, so
+        # J^T J is numerically singular and the step must come from J itself
+        obs = twin_observations((0.3, 0.2), t_count=64)
+        obs = dataclasses.replace(obs, t_points=obs.t_points[:1], values=obs.values[:, :1])
+        cfg = InversionConfig(degree=degree, tikhonov=0.0, n_modes=8)
+        res = recover_order(obs, template(), cfg)
+        assert res.stop_reason == "tolerance"
+        assert res.final_misfit <= 1e-8
 
     def test_bound_stall_stops_on_no_descent(self):
         obs = twin_observations((0.0, 0.3), t_count=256)
