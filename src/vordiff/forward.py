@@ -12,9 +12,10 @@ Every mode follows the same first-order implicit scheme: backward
 difference for u', the L1 history sum for the Caputo term with the
 current-step weight moved to the implicit side, and k, alpha frozen at
 the new node.  step_modes advances all modes together, STEP_BLOCK nodes
-at a time: each block builds its rows of raw kernel increments at once,
-applies them to every mode's slopes from before the block, and solves
-the block's small lower-triangular system for all modes in one call.
+at a time: each block builds its rows of raw kernel increments at once
+and applies them to every mode's slopes from before the block; the
+block's own lower-triangular system is applied through its inverses,
+precomputed once per distinct eigenvalue for a chunk of blocks at a time.
 The node scalars and step coefficients are computed and checked once per
 pass.  Cost is O(M^2) for the increments plus O(M^2) per mode for the
 history sums, in M / STEP_BLOCK Python iterations.
@@ -28,10 +29,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fracops import OrderFunction, TimeMesh, _check_orders, _l1_increments, polyval
+from .fracops import (OrderFunction, TimeMesh, _check_orders, _kernel_increments, _l1_increments,
+                      polyval)
 from .spectral import SpectralBasis, analyze, analyze_function, sobolev_norm
 
 STEP_BLOCK = 16  # nodes per block in step_modes
+CHUNK_INVERSES = 64  # (block, eigenvalue) inverses per chunk of step tables
 
 
 def default_grading(alpha0: float) -> float:
@@ -118,7 +121,34 @@ class SolutionField:
             )
 
 
-def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None) -> np.ndarray:
+def _block_tables(mesh: TimeMesh, a, k_gam, lam, first: int, count: int, b: int):
+    """step_modes' tables of count consecutive b-node blocks from node first:
+    C[:, 0] of each block, (count, b, 1), and (T0 + lam_i I)^-1 for each
+    eigenvalue in lam, (count, lam.size, b, b).  The forward substitution
+    is elementwise, so an inverse does not depend on the other eigenvalues.
+    """
+    n = first + np.arange(count * b).reshape(count, b)
+    j = n[:, :1] - 1 + np.arange(b + 1)
+    p = np.maximum(mesh.nodes[n][..., None] - mesh.nodes[j][:, None], 0.0)
+    h = mesh.spacing[j[:, :-1]][:, None]  # h_j, j = first_c..last_c
+    band = _kernel_increments(p, a[n], h, np.empty((count, b, b)))
+    # in-block history: sum_j C[n, j] (u_j - u_{j-1}), C = (I + k_gam band) / h_j,
+    # regrouped on u_j into T0; u_{first-1} goes to the right-hand side
+    C = (np.eye(b) + k_gam[n - 1, None] * band) / h
+    T0 = C.copy()
+    T0[..., :-1] -= C[..., 1:]
+    # the batch of (block, eigenvalue) pairs is the contiguous last axis
+    T0 = np.repeat(T0.transpose(1, 2, 0), lam.size, axis=2)
+    diag = np.diagonal(T0).T + np.tile(lam, count)
+    inv = np.zeros((b, b, count * lam.size))
+    inv[np.arange(b), np.arange(b)] = 1.0
+    for i in range(b):  # row i of the inverse is final; eliminate column i below it
+        inv[i, : i + 1] /= diag[i]
+        inv[i + 1 :, : i + 1] -= T0[i + 1 :, i, None] * inv[i, : i + 1]
+    return C[..., :1], inv.reshape(b, b, count, lam.size).transpose(2, 3, 0, 1).copy()
+
+
+def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.ndarray:
     """Step u_i' + k(t) D^{alpha(t)} u_i = -lam_i u_i + f_i(t) for all modes.
 
     a and k hold alpha(t_n) and k(t_n) at every node, as (M+1,) arrays;
@@ -131,22 +161,26 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None) -> np.ndarray:
     with w_n = h_n^(-a_n) / Gamma(2 - a_n) the implicit L1 weight and the
     history H_n = (k_n / Gamma(2 - a_n)) sum_{j<n} (p_{j-1} - p_j) s_j on
     the slopes s_j = (u_j - u_{j-1}) / h_j, with the raw kernel increments
-    of fracops._l1_increments at order a_n: no row is divided by
+    of fracops._kernel_increments at order a_n: no row is divided by
     Gamma(2 - a_n) h_j.  Shapes and orders (in [0, 1)) are checked first;
     then the node scalars and every coefficient d_n + lam_i are computed
-    once per pass and checked before any row is built.  For k >= 0,
-    lam > 0 they are strictly positive, making the scheme unconditionally
-    stable; otherwise the first failing node, and the first failing mode
-    there, is reported.  Returns u_i(t_n) as an (N, M+1) array.
+    once per pass and checked before any row or table is built.  For
+    k >= 0, lam > 0 they are strictly positive, making the scheme
+    unconditionally stable; otherwise the first failing node, and the first
+    failing mode there, is reported.  Returns u_i(t_n) as an (N, M+1) array.
 
-    The nodes are stepped STEP_BLOCK at a time.  A block's increment rows
-    are built together into two work buffers allocated once per call; the
-    history from before the block is one matrix-vector product per mode,
-    and the block's own equations form the lower-triangular system
-    (T0 + lam_i I) u = r_i, where T0 does not depend on the mode, solved
-    for all modes by one stacked solve.  A mode's arithmetic never mixes
-    with another's, so its trajectory is bitwise the same whichever other
-    modes share the call.
+    The nodes are stepped STEP_BLOCK at a time.  Per block, the history
+    from before it is one matrix-vector product per mode on its kernel rows
+    (fracops._l1_increments, into two work buffers allocated once per
+    call).  The block's own equations form the lower-triangular system
+    (T0 + lam_i I) u = r_i with T0 independent of the mode; its inverses,
+    one per distinct eigenvalue, come from _block_tables for a chunk of
+    CHUNK_INVERSES // (distinct eigenvalues) blocks at a time, dropped once
+    stepped.  A dict given as tables keeps every chunk's tables instead: an
+    empty one is filled, a filled one (same mesh, a, k and distinct
+    eigenvalues) is read and nothing is built.  A mode's arithmetic never
+    mixes with another's, so its trajectory is bitwise the same whichever
+    other modes share the call.
     """
     a, k = np.asarray(a, dtype=float), np.asarray(k, dtype=float)
     lam, u0 = np.asarray(lam, dtype=float), np.asarray(u0, dtype=float)
@@ -172,33 +206,38 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None) -> np.ndarray:
             f"(t = {mesh.nodes[n + 1]:.6g}, k = {k_n[n]:.6g}, lam = {lam[i]:.6g}, "
             f"alpha = {a_n[n]:.6g}); the scheme requires k >= 0 and lam > 0"
         )
+    distinct, which = np.unique(lam, return_inverse=True)
+    inputs = (mesh.nodes, a, k, distinct)
+    built = inputs if tables is None else tables.setdefault("inputs", tuple(map(np.copy, inputs)))
+    if not all(map(np.array_equal, built, inputs)):
+        raise DomainError("step tables were built for another mesh, order, k or eigenvalues")
     u = np.empty((N, M + 1))
     s = np.empty((N, M))  # slopes (u_j - u_{j-1}) / h_j
     u[:, 0] = u0
     B = min(STEP_BLOCK, M)
-    p, inc = np.empty((B, M + 1)), np.empty((B, M))  # one block's kernel rows
-    hist, A = np.empty((N, B, 1)), np.empty((N, B, B))
-    diag = np.arange(B)
-    for first in range(1, M + 1, B):
+    p, inc = np.empty((B, M)), np.empty((B, M - 1))  # one block's history rows
+    hist = np.empty((N, B, 1))
+    per_chunk = max(1, CHUNK_INVERSES // distinct.size)
+    done = 0  # blocks covered by the current chunk's tables
+    for q, first in enumerate(range(1, M + 1, B)):
         last = min(first + B - 1, M)
         b, m = last - first + 1, first - 1  # block size, slopes before it
         blk = slice(m, last)
-        rows = _l1_increments(mesh, first, a[first : last + 1], p, inc)
+        if q == done:  # full blocks in chunks; a short last block alone
+            start, done = q, q + (min(per_chunk, M // B - q) or 1)
+            chunk = None if tables is None else tables.get(first)  # drops the last chunk
+            if chunk is None:
+                chunk = _block_tables(mesh, a, k_gam, distinct, first, done - start, b)
+                if tables is not None:
+                    tables[first] = chunk
+        rows = _l1_increments(mesh, first, a[first : last + 1], p, inc, m)
         # history before the block: numpy runs a stacked matmul as one gemv
         # per mode, so no mode's sum depends on the others (a GEMM's would)
-        np.matmul(rows[:, :m], s[:, :m, None], out=hist[:, :b])
-        # in-block history: sum_j C[n, j] (u_j - u_{j-1}), C = (I + k_gam inc) / h_j,
-        # regrouped on u_j into T0; u_{first-1} goes to the right-hand side
-        C = (np.eye(b) + k_gam[blk, None] * rows[:, blk]) / h[blk]
-        T0 = C.copy()
-        T0[:, :-1] -= C[:, 1:]
-        rhs = C[:, :1] * u[:, m, None, None] - k_gam[blk, None] * hist[:, :b]
+        np.matmul(rows, s[:, :m, None], out=hist[:, :b])
+        rhs = chunk[0][q - start] * u[:, m, None, None] - k_gam[blk, None] * hist[:, :b]
         if forcing is not None:
             rhs += forcing[:, first : last + 1, None]
-        Ab = A[:, :b, :b]
-        Ab[:] = T0
-        Ab[:, diag[:b], diag[:b]] += lam[:, None]
-        u[:, first : last + 1] = np.linalg.solve(Ab, rhs)[:, :, 0]
+        u[:, first : last + 1] = np.matmul(chunk[1][q - start][which], rhs)[:, :, 0]
         s[:, blk] = np.diff(u[:, m : last + 1], axis=1) / h[blk]
     if not np.all(np.isfinite(u)):
         raise NumericalError("trajectory contains non-finite values")

@@ -203,34 +203,43 @@ def _check_orders(a):
         raise DomainError(f"order value {a[~ok][0]} outside [0, 1)")
 
 
-def _l1_increments(mesh: TimeMesh, first: int, a, p=None, inc=None) -> np.ndarray:
+def _kernel_increments(p, a, h, inc) -> np.ndarray:
+    """The L1 kernel rule, shared by every builder of increment rows.
+
+    p holds the gaps t_n - t_j, clipped at 0, of one row per node n over
+    consecutive nodes j, and a the rows' orders.  p becomes the kernel
+    values p_j = (t_n - t_j)^(1-a_n) and inc the increments p_{j-1} - p_j,
+    except at a_n = 0: there the row holds the steps h (broadcast against
+    inc) where t_{j-1} < t_n and 0 after, so that l1_weights is exactly 1.
+    The power's exponent is a Python float when the order is constant over
+    the rows: numpy's fast scalar paths, such as sqrt at a = 0.5, apply.
+    """
+    p **= float(1.0 - a.flat[0]) if (a == a.flat[0]).all() else (1.0 - a)[..., None]
+    np.subtract(p[..., :-1], p[..., 1:], out=inc)
+    zero = a == 0.0
+    if zero.any():
+        inc[zero] = np.where(p[zero][:, :-1] > 0.0, np.broadcast_to(h, inc.shape)[zero], 0.0)
+    return inc
+
+
+def _l1_increments(mesh: TimeMesh, first: int, a, p=None, inc=None, stop=None) -> np.ndarray:
     """Raw L1 kernel increments at the nodes n = first..last, one row each.
 
     a holds the orders of the b = last - first + 1 rows.  Row n holds
-    p_{j-1} - p_j, p_j = (t_n - t_j)^(1-a_n) (0 for t_j >= t_n), for
-    j = 1..last: zeros after j = n.  At a_n = 0 the row is the steps h_j
-    themselves, so that l1_weights is exactly 1 there.  Kernel values go to
-    the work buffer p, at least (b, last + 1), and the increments to inc,
-    at least (b, last), both allocated here if not given; the (b, last)
-    view of inc is returned.  The rows share one power pass, whose exponent
-    is a Python float when the order is constant over them: numpy's fast
-    scalar paths, such as sqrt at a = 0.5, apply then.
+    p_{j-1} - p_j of _kernel_increments for j = 1..stop (default last):
+    zeros after j = n.  Kernel values go to the work buffer p, at least
+    (b, stop + 1), and the increments to inc, at least (b, stop), both
+    allocated here if not given; the (b, stop) view of inc is returned.
     """
     a = np.asarray(a, dtype=float)
     b = a.size
-    last = first + b - 1
+    stop = first + b - 1 if stop is None else stop
     t = mesh.nodes
-    p = np.empty((b, last + 1)) if p is None else p[:b, : last + 1]
-    inc = np.empty((b, last)) if inc is None else inc[:b, :last]
-    np.subtract(t[first : last + 1, None], t[: last + 1], out=p)
-    np.maximum(p[:, first:], 0.0, out=p[:, first:])  # the in-block upper triangle, t_j > t_n
-    p **= float(1.0 - a[0]) if (a == a[0]).all() else (1.0 - a)[:, None]
-    np.subtract(p[:, :-1], p[:, 1:], out=inc)
-    zero = a == 0.0
-    if zero.any():
-        n = np.arange(first, last + 1)[zero, None]
-        inc[zero] = np.where(np.arange(1, last + 1) <= n, mesh.spacing[:last], 0.0)
-    return inc
+    p = np.empty((b, stop + 1)) if p is None else p[:b, : stop + 1]
+    inc = np.empty((b, stop)) if inc is None else inc[:b, :stop]
+    np.subtract(t[first : first + b, None], t[: stop + 1], out=p)
+    np.maximum(p[:, first:], 0.0, out=p[:, first:])  # t_j >= t_n only from j = first on
+    return _kernel_increments(p, a, mesh.spacing[:stop], inc)
 
 
 def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:

@@ -248,26 +248,29 @@ class _Inversion:
         self.k = polyval(model.k_coeffs, self.mesh.nodes)
         self.phi = basis.design_matrix(obs.x_points)
 
-    def solve(self, alpha_coeffs):
-        """(alpha(t_n), u_i(t_n)) of a candidate order; u is (N, M+1)."""
+    def solve(self, alpha_coeffs, tables=None):
+        """(alpha(t_n), u_i(t_n)) of a candidate order; u is (N, M+1).
+        A dict given as tables keeps the step tables for jacobian."""
         cand = OrderFunction(alpha_coeffs, self.config.alpha_star, self.model.T)
         a = cand(self.mesh.nodes)
-        return a, step_modes(self.mesh, a, self.k, self.lam, self.u0)
+        return a, step_modes(self.mesh, a, self.k, self.lam, self.u0, tables=tables)
 
     def residual(self, u):
         """Stacked misfit of a trajectory u, x-major order."""
         return (self.phi @ u[:, 1:] - self.obs.values).ravel()
 
-    def jacobian(self, n_coeffs, a, u):
+    def jacobian(self, n_coeffs, a, u, tables=None):
         """Residual derivative for an order with n_coeffs coefficients,
-        given that order's trajectory (a, u) from solve."""
+        given that order's trajectory (a, u) from solve and, to build no
+        step table, the tables that solve kept."""
         mesh = self.mesh
         slope = np.diff(u, axis=1) / mesh.spacing
         sens = order_sensitivities(mesh, a, slope)
         t_pow = mesh.nodes ** np.arange(n_coeffs)[:, None]
         forcing = -(self.k * t_pow)[:, None, :] * sens
         lam = np.tile(self.lam, n_coeffs)
-        v = step_modes(mesh, a, self.k, lam, np.zeros(lam.size), forcing.reshape(lam.size, -1))
+        v = step_modes(mesh, a, self.k, lam, np.zeros(lam.size), forcing.reshape(lam.size, -1),
+                       tables=tables)
         v = v.reshape(n_coeffs, self.lam.size, -1)
         # residual rows are x-major: row (j, m) = j * n_t + m
         return np.einsum("ji,qim->jmq", self.phi, v[:, :, 1:]).reshape(-1, n_coeffs)
@@ -310,7 +313,8 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     projected into the admissible bounds with project_admissible, the
     exact check that OrderFunction applies.
     Each trial step is solved once; the Jacobian at the accepted iterate
-    reuses that trajectory.  stop_reason records why the loop ended:
+    reuses that trajectory and its step tables, whose eigenvalues the
+    tangent pass repeats.  stop_reason records why the loop ended:
     "tolerance" (converged), "max_iter", or "no_descent" (every halving
     of the step failed to decrease |r|^2).
     Requires a nonzero initial datum and k(0) != 0, without which the data
@@ -330,18 +334,18 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     prior = c.copy()
     root_mu = np.sqrt(config.tikhonov)
 
-    a, u = inv.solve(c)
+    a, u = inv.solve(c, tables := {})
     res = inv.residual(u)
     r = np.concatenate((res, root_mu * (c - prior)))
     history = [float(np.linalg.norm(res))]
     stop_reason = "max_iter"
     for _ in range(config.max_iter):
-        J = inv.jacobian(c.size, a, u)
+        J = inv.jacobian(c.size, a, u, tables)
         delta = np.linalg.lstsq(np.vstack((J, root_mu * np.eye(c.size))), -r, rcond=None)[0]
         step = 1.0
         for _ in range(STEP_HALVINGS):
             cand = project_admissible(c + step * delta, model.T, config.alpha_star)
-            cand_a, cand_u = inv.solve(cand)
+            cand_a, cand_u = inv.solve(cand, cand_tables := {})
             cand_res = inv.residual(cand_u)
             cand_r = np.concatenate((cand_res, root_mu * (cand - prior)))
             if cand_r @ cand_r <= r @ r:
@@ -351,7 +355,7 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
             stop_reason = "no_descent"
             break
         moved = float(np.abs(cand - c).max())
-        c, a, u, r = cand, cand_a, cand_u, cand_r
+        c, a, u, r, tables = cand, cand_a, cand_u, cand_r, cand_tables
         history.append(float(np.linalg.norm(cand_res)))
         rel_drop = abs(history[-2] - history[-1]) / max(1.0, history[-1])
         if moved <= config.gn_tolerance or rel_drop <= config.gn_tolerance:

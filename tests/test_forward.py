@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -153,6 +154,35 @@ class TestSolveMode:
         step_modes(TimeMesh(1.0, 33, 1.0), np.full(34, 0.5), np.ones(34), [1.0, 4.0], [1.0, 0.5])
         assert len(rows) == -(-33 // STEP_BLOCK)
 
+    @pytest.mark.parametrize("bad", ["u0", "forcing", "order_one", "order_negative", "a_short",
+                                     "coefficient"])
+    def test_inputs_checked_before_any_table(self, monkeypatch, bad):
+        # mis-shaped inputs, orders outside [0, 1) and a failing step
+        # coefficient (k = -1e6) must stop the call before any block table
+        mesh = TimeMesh(1.0, 8, 1.0)
+        inputs = dict(a=np.full(9, 0.5), k=np.ones(9), u0=np.array([1.0, 0.5]), forcing=None)
+        inputs.update({
+            "u0": dict(u0=np.array([1.0])),
+            "forcing": dict(forcing=np.zeros((1, 9))),
+            "order_one": dict(a=np.ones(9)),
+            "order_negative": dict(a=np.r_[np.full(8, 0.5), -0.1]),
+            "a_short": dict(a=np.full(8, 0.5)),
+            "coefficient": dict(k=np.full(9, -1e6)),
+        }[bad])
+        built = []
+        block_tables = vordiff.forward._block_tables
+        monkeypatch.setattr(
+            vordiff.forward, "_block_tables", lambda *args: built.append(args) or block_tables(*args)
+        )
+        with pytest.raises(DomainError if bad != "coefficient" else NumericalError):
+            step_modes(mesh, inputs["a"], inputs["k"], [1.0, 4.0], inputs["u0"], inputs["forcing"],
+                       tables={})
+        assert built == []
+        # the patched builder sees the tables of a valid call: M = 33 is two
+        # full blocks in one chunk and a one-node block alone
+        step_modes(TimeMesh(1.0, 33, 1.0), np.full(34, 0.5), np.ones(34), [1.0, 4.0], [1.0, 0.5])
+        assert [args[-2:] for args in built] == [(2, STEP_BLOCK), (1, 1)]
+
     def test_needs_order(self):
         spec = spec_with(None)
         with pytest.raises(DomainError):
@@ -212,6 +242,36 @@ def test_step_modes_batch_bitwise(M):
             solo = step_modes(mesh, a, k, lam[i : i + 1], u0[i : i + 1],
                               None if f is None else f[i : i + 1])
             assert np.array_equal(solo[0], batch[i])
+
+
+def test_step_tables_read_only_for_their_inputs():
+    mesh = TimeMesh(1.0, 40, 1.0)
+    base = dict(mesh=mesh, a=np.full(41, 0.5), k=np.ones(41), lam=[1.0, 4.0])
+    tables = {}
+    first = step_modes(base["mesh"], base["a"], base["k"], base["lam"], [1.0, 0.5], tables=tables)
+    for change in (dict(mesh=TimeMesh(1.0, 40, 2.0)), dict(a=np.full(41, 0.4)),
+                   dict(k=np.full(41, 2.0)), dict(lam=[1.0, 9.0])):
+        args = {**base, **change}
+        with pytest.raises(DomainError, match="step tables"):
+            step_modes(args["mesh"], args["a"], args["k"], args["lam"], [1.0, 0.5], tables=tables)
+    # the same eigenvalues in another order, one repeated, read the tables
+    again = step_modes(mesh, base["a"], base["k"], [4.0, 1.0, 4.0], [0.5, 1.0, 0.0], tables=tables)
+    assert np.array_equal(again[:2], first[::-1])
+
+
+def test_step_modes_memory_ceiling():
+    # the tables of one chunk at a time are kept: at M = 8192, N = 2 the
+    # whole call, with its two (16, M) row buffers, peaks below 3.5 MiB
+    mesh = TimeMesh(1.0, 8192, 4.0)
+    a = OrderFunction((0.5,), 0.95, 1.0)(mesh.nodes)
+    k, lam, u0 = np.ones(8193), np.array([1.0, 4.0]), np.array([1.0, 0.5])
+    tracemalloc.start()
+    try:
+        step_modes(mesh, a, k, lam, u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
 
 
 class TestSolveForward:

@@ -384,14 +384,35 @@ def test_truth_on_admissible_bound_recovered():
     assert res.converged
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="a run creeping along the face alpha(T) = 0 stops on the relative-drop "
+    "test and reports convergence; the bound-aware step of ROADMAP item 2 is still open",
+)
+def test_converged_run_fits_as_well_as_the_truth():
+    # one x point and the 51 times t <= 0.01: Gauss-Newton stops with
+    # "tolerance" at (0.4836, -0.4836), misfit 2.0e-3, against 1.9e-5 at the truth
+    obs = synthesize_observations(
+        template().with_alpha(OrderFunction((0.3, 0.2), 0.95, 1.0)), (0.5, 2.5), 1, 256,
+        0.0, 1, n_modes=16,
+    )
+    early = obs.t_points <= 0.01
+    obs = dataclasses.replace(obs, t_points=obs.t_points[early], values=obs.values[:, early])
+    cfg = InversionConfig(degree=1, n_modes=16)
+    res = recover_order(obs, template(), cfg)
+    truth_misfit = np.linalg.norm(residual((0.3, 0.2), obs, template(), cfg))
+    assert res.converged
+    assert res.final_misfit <= 10.0 * truth_misfit
+
+
 def test_jacobian_reuses_the_accepted_trial_solve(monkeypatch):
     passes = {"forward": 0, "sensitivity": 0, "trials": 0}
     step_modes = vordiff.inverse.step_modes
     project = vordiff.inverse.project_admissible
 
-    def counting_step_modes(mesh, a, k, lam, u0, forcing=None):
+    def counting_step_modes(mesh, a, k, lam, u0, forcing=None, tables=None):
         passes["forward" if forcing is None else "sensitivity"] += 1
-        return step_modes(mesh, a, k, lam, u0, forcing)
+        return step_modes(mesh, a, k, lam, u0, forcing, tables)
 
     def counting_project(*args):
         passes["trials"] += 1  # the start point, then one per trial step
@@ -434,3 +455,25 @@ class TestUniquenessScan:
         scan = uniqueness_scan(obs, template(), grid, cfg)
         for cand, misfit in zip(grid, scan.misfits):
             assert misfit == np.linalg.norm(residual(cand, obs, template(), cfg))
+
+
+@pytest.mark.parametrize("coeffs", [(0.5, 0.0), (0.3, 0.2)])
+def test_jacobian_reused_blocks_bitwise(monkeypatch, coeffs):
+    # the benchmark's invert config: M = 256, 16 modes, 32 x points, noise 1e-5
+    model = template()
+    truth = OrderFunction((0.3, 0.2), 0.95, 1.0)
+    obs = synthesize_observations(model.with_alpha(truth), WINDOW, 32, 256, 1e-5, 0, n_modes=16)
+    cfg = InversionConfig(degree=1, n_modes=16, init_coeffs=(0.5,))
+    inv = vordiff.inverse._Inversion(obs, model, cfg)
+    tables = {}
+    a, u = inv.solve(coeffs, tables)
+    built = []
+    block_tables = vordiff.forward._block_tables
+    monkeypatch.setattr(
+        vordiff.forward, "_block_tables", lambda *args: built.append(args) or block_tables(*args)
+    )
+    reused = inv.jacobian(len(coeffs), a, u, tables)
+    assert built == []  # the tangent pass read the trial's tables
+    fresh = jacobian(coeffs, obs, model, cfg)
+    assert built  # while a fresh Jacobian builds its own
+    assert np.array_equal(reused, fresh)
