@@ -12,12 +12,12 @@ Every mode follows the same first-order implicit scheme: backward
 difference for u', the L1 history sum for the Caputo term with the
 current-step weight moved to the implicit side, and k, alpha frozen at
 the new node.  step_modes advances all modes together, STEP_BLOCK nodes
-at a time: each block builds its rows of raw kernel increments at once
-and applies them to every mode's slopes from before the block; the
+at a time: each block builds its rows of kernel values at once and sums
+them by parts against every mode's slope differences from before it; the
 block's own lower-triangular system is applied through its inverses,
 precomputed once per distinct eigenvalue for a chunk of blocks at a time.
 The node scalars and step coefficients are computed and checked once per
-pass.  Cost is O(M^2) for the increments plus O(M^2) per mode for the
+pass.  Cost is O(M^2) for the kernel values plus O(M^2) per mode for the
 history sums, in M / STEP_BLOCK Python iterations.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fracops import (OrderFunction, TimeMesh, _check_orders, _kernel_increments, _l1_increments,
+from .fracops import (OrderFunction, TimeMesh, _check_orders, _kernel_increments, _kernel_values,
                       polyval)
 from .spectral import SpectralBasis, analyze, analyze_function, sobolev_norm
 
@@ -169,10 +169,15 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     unconditionally stable; otherwise the first failing node, and the first
     failing mode there, is reported.  Returns u_i(t_n) as an (N, M+1) array.
 
-    The nodes are stepped STEP_BLOCK at a time.  Per block, the history
-    from before it is one matrix-vector product per mode on its kernel rows
-    (fracops._l1_increments, into two work buffers allocated once per
-    call).  The block's own equations form the lower-triangular system
+    The nodes are stepped STEP_BLOCK at a time.  Per block, the history over
+    the m slopes from before it is summed by parts,
+    sum_{j=1..m} (p_{j-1} - p_j) s_j = sum_{j=0..m} p_j g_j with
+    g_j = s_{j+1} - s_j (s_0 = 0) for j < m and g_m = -s_m: one
+    matrix-vector product per mode on the block's kernel values
+    (fracops._kernel_values, in one work buffer).  The identity is exact in
+    real arithmetic, so only rounding differs from the increment form, and
+    needs no a_n = 0 case: p_j is then t_n - t_j, whose differences are the
+    steps h_j.  The block's own equations form the lower-triangular system
     (T0 + lam_i I) u = r_i with T0 independent of the mode; its inverses,
     one per distinct eigenvalue, come from _block_tables for a chunk of
     CHUNK_INVERSES // (distinct eigenvalues) blocks at a time, dropped once
@@ -193,7 +198,7 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     _check_orders(a)
     if np.any(lam <= 0.0):
         raise DomainError(f"eigenvalue must be positive, got {lam[lam <= 0.0][0]}")
-    h, a_n, k_n = mesh.spacing, a[1:], k[1:]
+    t, h, a_n, k_n = mesh.nodes, mesh.spacing, a[1:], k[1:]
     gam = np.fromiter(map(math.gamma, 2.0 - a_n), float, M)
     k_gam = k_n / gam
     d = 1.0 / h + k_gam * h**-a_n
@@ -212,10 +217,10 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     if not all(map(np.array_equal, built, inputs)):
         raise DomainError("step tables were built for another mesh, order, k or eigenvalues")
     u = np.empty((N, M + 1))
-    s = np.empty((N, M))  # slopes (u_j - u_{j-1}) / h_j
     u[:, 0] = u0
     B = min(STEP_BLOCK, M)
-    p, inc = np.empty((B, M)), np.empty((B, M - 1))  # one block's history rows
+    p = np.empty((B, M))  # one block's kernel rows
+    g = np.zeros((N, M + 1))  # g_0..g_m of the sum by parts, g_m = -s_m
     hist = np.empty((N, B, 1))
     per_chunk = max(1, CHUNK_INVERSES // distinct.size)
     done = 0  # blocks covered by the current chunk's tables
@@ -230,15 +235,17 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
                 chunk = _block_tables(mesh, a, k_gam, distinct, first, done - start, b)
                 if tables is not None:
                     tables[first] = chunk
-        rows = _l1_increments(mesh, first, a[first : last + 1], p, inc, m)
+        rows = np.subtract(t[first : last + 1, None], t[: m + 1], out=p[:b, : m + 1])
         # history before the block: numpy runs a stacked matmul as one gemv
         # per mode, so no mode's sum depends on the others (a GEMM's would)
-        np.matmul(rows, s[:, :m, None], out=hist[:, :b])
+        np.matmul(_kernel_values(rows, a[first : last + 1]), g[:, : m + 1, None], out=hist[:, :b])
         rhs = chunk[0][q - start] * u[:, m, None, None] - k_gam[blk, None] * hist[:, :b]
         if forcing is not None:
             rhs += forcing[:, first : last + 1, None]
         u[:, first : last + 1] = np.matmul(chunk[1][q - start][which], rhs)[:, :, 0]
-        s[:, blk] = np.diff(u[:, m : last + 1], axis=1) / h[blk]
+        slopes = np.diff(u[:, m : last + 1], axis=1) / h[blk]
+        # -g_m is s_m; the appended 0 leaves g_last = -s_last for the next block
+        g[:, m : last + 1] = np.diff(slopes, axis=1, prepend=-g[:, m, None], append=0.0)
     if not np.all(np.isfinite(u)):
         raise NumericalError("trajectory contains non-finite values")
     return u

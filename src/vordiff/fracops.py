@@ -203,18 +203,24 @@ def _check_orders(a):
         raise DomainError(f"order value {a[~ok][0]} outside [0, 1)")
 
 
-def _kernel_increments(p, a, h, inc) -> np.ndarray:
-    """The L1 kernel rule, shared by every builder of increment rows.
-
-    p holds the gaps t_n - t_j, clipped at 0, of one row per node n over
-    consecutive nodes j, and a the rows' orders.  p becomes the kernel
-    values p_j = (t_n - t_j)^(1-a_n) and inc the increments p_{j-1} - p_j,
-    except at a_n = 0: there the row holds the steps h (broadcast against
-    inc) where t_{j-1} < t_n and 0 after, so that l1_weights is exactly 1.
-    The power's exponent is a Python float when the order is constant over
-    the rows: numpy's fast scalar paths, such as sqrt at a = 0.5, apply.
-    """
+def _kernel_values(p, a) -> np.ndarray:
+    """The L1 kernel values p_j = (t_n - t_j)^(1-a_n), in place of the gaps
+    t_n - t_j (clipped at 0) in p, one row per node n with its order in a;
+    returns p.  A constant order gives a Python-float exponent, so numpy's
+    fast scalar paths, such as sqrt at a = 0.5, apply."""
     p **= float(1.0 - a.flat[0]) if (a == a.flat[0]).all() else (1.0 - a)[..., None]
+    return p
+
+
+def _kernel_increments(p, a, h, inc) -> np.ndarray:
+    """The L1 increment rule, shared by every builder of increment rows.
+
+    p and a are as for _kernel_values over consecutive nodes j; p becomes
+    the kernel values and inc the increments p_{j-1} - p_j, except at
+    a_n = 0: there the row holds the steps h (broadcast against inc) where
+    t_{j-1} < t_n and 0 after, so that l1_weights is exactly 1.
+    """
+    _kernel_values(p, a)
     np.subtract(p[..., :-1], p[..., 1:], out=inc)
     zero = a == 0.0
     if zero.any():
@@ -222,24 +228,10 @@ def _kernel_increments(p, a, h, inc) -> np.ndarray:
     return inc
 
 
-def _l1_increments(mesh: TimeMesh, first: int, a, p=None, inc=None, stop=None) -> np.ndarray:
-    """Raw L1 kernel increments at the nodes n = first..last, one row each.
-
-    a holds the orders of the b = last - first + 1 rows.  Row n holds
-    p_{j-1} - p_j of _kernel_increments for j = 1..stop (default last):
-    zeros after j = n.  Kernel values go to the work buffer p, at least
-    (b, stop + 1), and the increments to inc, at least (b, stop), both
-    allocated here if not given; the (b, stop) view of inc is returned.
-    """
-    a = np.asarray(a, dtype=float)
-    b = a.size
-    stop = first + b - 1 if stop is None else stop
-    t = mesh.nodes
-    p = np.empty((b, stop + 1)) if p is None else p[:b, : stop + 1]
-    inc = np.empty((b, stop)) if inc is None else inc[:b, :stop]
-    np.subtract(t[first : first + b, None], t[: stop + 1], out=p)
-    np.maximum(p[:, first:], 0.0, out=p[:, first:])  # t_j >= t_n only from j = first on
-    return _kernel_increments(p, a, mesh.spacing[:stop], inc)
+def _l1_increments(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
+    """The (n,) row of _kernel_increments at node n and order alpha_n."""
+    p = mesh.nodes[n] - mesh.nodes[None, : n + 1]
+    return _kernel_increments(p, np.array([alpha_n]), mesh.spacing[:n], np.empty((1, n)))[0]
 
 
 def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
@@ -252,7 +244,7 @@ def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
     g_n - g_0.
     """
     h = mesh.spacing[:n]
-    return _l1_increments(mesh, n, [alpha_n])[0] / (math.gamma(2.0 - alpha_n) * h)
+    return _l1_increments(mesh, n, alpha_n) / (math.gamma(2.0 - alpha_n) * h)
 
 
 def frac_integral_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
