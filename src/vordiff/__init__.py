@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     IllPosedExtractionError,
     NumericalError,
-    SingularOrderError,
     VordiffError,
 )
 from .forward import (
@@ -37,7 +36,6 @@ from .fracops import (
     TimeMesh,
     caputo_order_sensitivity,
     caputo_vo,
-    frac_integral_vo,
     l1_weights,
 )
 from .inverse import (
@@ -76,7 +74,6 @@ __all__ = [
     "RegularityReport",
     "SampledFunction",
     "ScanResult",
-    "SingularOrderError",
     "SolutionField",
     "SpectralBasis",
     "TimeMesh",
@@ -87,7 +84,6 @@ __all__ = [
     "caputo_vo",
     "default_grading",
     "extract_modes",
-    "frac_integral_vo",
     "jacobian",
     "l1_weights",
     "recover_order",

@@ -9,10 +9,6 @@ class DomainError(VordiffError, ValueError):
     """Input outside the domain or preconditions of an operation."""
 
 
-class SingularOrderError(DomainError):
-    """Fractional integral requested at a node where the order vanishes."""
-
-
 class NumericalError(VordiffError):
     """A numerical step failed (non-invertible step coefficient, overflow)."""
 

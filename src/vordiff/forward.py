@@ -24,7 +24,7 @@ history sums, in M / STEP_BLOCK Python iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,7 +110,6 @@ class SolutionField:
     basis: SpectralBasis
     mesh: TimeMesh
     values: np.ndarray
-    tail_ratio: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -265,10 +264,7 @@ def solve_forward(spec: ModelSpec, mesh: TimeMesh, N: int) -> SolutionField:
     basis = spec.basis(N)
     c0 = spec.u0_coefficients(basis)
     a, k = spec.node_values(mesh)
-    u = step_modes(mesh, a, k, basis.eigenvalues(), c0)
-    total = float(np.linalg.norm(c0))
-    tail = abs(float(c0[-1])) / total if total > 0.0 else 0.0
-    return SolutionField(basis, mesh, u, tail_ratio=tail)
+    return SolutionField(basis, mesh, step_modes(mesh, a, k, basis.eigenvalues(), c0))
 
 
 def stability_ratio(field: SolutionField, gamma: float) -> float:

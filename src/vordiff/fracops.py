@@ -1,4 +1,4 @@
-"""Variable-order fractional integral and Caputo operators on time meshes.
+"""The variable-order Caputo operator and its order-sensitivity on time meshes.
 
 Conventions used throughout:
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SingularOrderError
+from .errors import DomainError
 
 MAX_ORDER_DEGREE = 6
 SENSITIVITY_BLOCK = 64  # nodes per weight block in order_sensitivities
@@ -114,8 +114,8 @@ class TimeMesh:
 
     @classmethod
     def from_nodes(cls, nodes):
-        nodes = np.asarray(nodes, dtype=float)
-        return cls(T=float(nodes[-1]), M=nodes.size - 1, r=None, nodes=nodes)
+        """A mesh on explicit nodes; __post_init__ checks them and sets T and M."""
+        return cls(T=None, M=None, r=None, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -228,48 +228,21 @@ def _kernel_increments(p, a, h, inc) -> np.ndarray:
     return inc
 
 
-def _l1_increments(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
-    """The (n,) row of _kernel_increments at node n and order alpha_n."""
-    p = mesh.nodes[n] - mesh.nodes[None, : n + 1]
-    return _kernel_increments(p, np.array([alpha_n]), mesh.spacing[:n], np.empty((1, n)))[0]
-
-
 def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
     """Weights w_j with sum_j w_j (g_j - g_{j-1}) the Caputo value at node n.
 
     w_j = ((t_n - t_{j-1})^(1-a) - (t_n - t_j)^(1-a)) / (Gamma(2-a) h_j)
-    for j = 1..n with a = alpha_n, Gamma taken from math.gamma: the raw
-    kernel increments of _l1_increments over Gamma(2-a) h_j.  At a = 0
-    every weight is exactly 1, so the sum telescopes to the identity limit
-    g_n - g_0.
+    for j = 1..n with a = alpha_n, Gamma taken from math.gamma: the row of
+    _kernel_increments at node n over Gamma(2-a) h_j.  At a = 0 every
+    weight is exactly 1, so the sum telescopes to the identity limit
+    g_n - g_0.  n must lie in 1..M and alpha_n in [0, 1).
     """
+    _check_node(mesh, n)
+    a = np.array([alpha_n], dtype=float)
+    _check_orders(a)
     h = mesh.spacing[:n]
-    return _l1_increments(mesh, n, alpha_n) / (math.gamma(2.0 - alpha_n) * h)
-
-
-def frac_integral_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:
-    """Variable-order fractional integral of g at node n.
-
-    Approximates (1/Gamma(a)) * int_0^{t_n} g(s) (t_n - s)^(a-1) ds with
-    a = alpha(t_n), g piecewise linear between nodes, the kernel
-    integrated exactly on each subinterval and Gamma(a) from math.gamma.
-    """
-    _check_node(g.mesh, n)
-    t = g.mesh.nodes
-    a_n = alpha(t[n])
-    if a_n == 0.0:
-        raise SingularOrderError(
-            f"alpha(t_{n}) = 0: the fractional integral degenerates; "
-            "use the identity-limit convention of the Caputo operator instead"
-        )
-    h = g.mesh.spacing[:n]
-    lo = t[n] - t[:n]  # t_n - t_{j-1}
-    hi = t[n] - t[1 : n + 1]  # t_n - t_j
-    m0 = (lo**a_n - hi**a_n) / a_n
-    m1 = lo * m0 - (lo ** (a_n + 1.0) - hi ** (a_n + 1.0)) / (a_n + 1.0)
-    left = g.values[:n]
-    slope = np.diff(g.values[: n + 1]) / h
-    return float((left @ m0 + slope @ m1) / math.gamma(a_n))
+    p = mesh.nodes[n] - mesh.nodes[None, : n + 1]
+    return _kernel_increments(p, a, h, np.empty((1, n)))[0] / (math.gamma(2.0 - alpha_n) * h)
 
 
 def caputo_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:

@@ -2,7 +2,8 @@
 
 These never call back into the product code paths they check: fractional
 values come from adaptive QUADPACK quadrature with algebraic endpoint
-weights, derivatives from Richardson-extrapolated central differences.
+weights, derivatives from Richardson-extrapolated central differences,
+and exact_mode inverts the Laplace transform of one constant-order mode.
 edit_observations writes the defective observation files that the input
 checks must reject.
 """
@@ -23,10 +24,18 @@ def caputo_quad(gprime, alpha, t):
     return value / gamma(1.0 - alpha)
 
 
-def frac_integral_quad(g, alpha, t):
-    """(1/Gamma(a)) int_0^t g(s) (t-s)^(a-1) ds by singular-weight quadrature."""
-    value, _ = quad(g, 0.0, t, weight="alg", wvar=(0.0, alpha - 1.0), **QUAD_OPTS)
-    return value / gamma(alpha)
+def exact_mode(a, k, lam, u0, t, method="talbot"):
+    """u(t) for u' + k D^a u = -lam u, u(0) = u0, at constant order a and k.
+
+    Its Laplace transform is U(s) = u0 (1 + k s^(a-1)) / (s + k s^a + lam);
+    mpmath inverts it at 30 digits by Talbot's method, or by de Hoog's.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        a, k, lam, u0 = map(mpmath.mpf, (a, k, lam, u0))
+        U = lambda s: u0 * (1 + k * s ** (a - 1)) / (s + k * s**a + lam)
+        return float(mpmath.invertlaplace(U, mpmath.mpf(t), method=method))
 
 
 def richardson_fd(f, x, h=1e-5):

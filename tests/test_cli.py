@@ -320,3 +320,9 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     assert sorted(p.name for p in blocked.iterdir()) == names and len(names) == 8
     for name in names:
         assert filecmp.cmp(blocked / name, unblocked / name, shallow=False), name
+
+
+def test_public_names_resolve():
+    # a stale __all__ entry fails only on "from vordiff import *"
+    assert [name for name in vordiff.__all__ if not hasattr(vordiff, name)] == []
+    assert len(set(vordiff.__all__)) == len(vordiff.__all__)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import exact_mode
 from vordiff import (
     DomainError,
     ModelSpec,
@@ -287,6 +288,35 @@ def test_step_modes_memory_ceiling():
     finally:
         tracemalloc.stop()
     assert peak <= 2.6 * 2**20
+
+
+class TestExactReference:
+    """One mode with k = lam = u0 = 1 and T = 1 against its inverted Laplace
+    transform; measured errors at T are 6.6-7.6e-4 (M = 256) and 1.55-1.87e-4
+    (M = 1024) at the default grading, rates 1.00-1.04."""
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.8])
+    def test_first_order_error_at_T(self, a):
+        exact = exact_mode(a, 1.0, 1.0, 1.0, 1.0)
+        errs = []
+        for M in (256, 1024):
+            mesh = TimeMesh(1.0, M, default_grading(a))
+            u = step_modes(mesh, np.full(M + 1, a), np.ones(M + 1), [1.0], [1.0])[0]
+            errs.append(abs(u[-1] - exact))
+            assert errs[-1] <= 0.25 / M, (a, M, errs[-1])
+        rate = np.log(errs[0] / errs[1]) / np.log(4.0)
+        assert 0.95 <= rate <= 1.10, (a, rate)
+
+    def test_talbot_agrees_with_de_hoog(self):
+        talbot = exact_mode(0.5, 1.0, 1.0, 1.0, 1.0)
+        assert abs(talbot - exact_mode(0.5, 1.0, 1.0, 1.0, 1.0, method="dehoog")) <= 1e-14
+        assert talbot == pytest.approx(0.593238799137824, abs=1e-14)
+
+    def test_frozen_reference_distance_from_truth(self):
+        # REFERENCE_MODE_VALUE is the scheme's own M = 16384 value, 1.15e-5
+        # from the truth: within the first-order gate at that mesh
+        M, _ = REFERENCE_MODE_MESH
+        assert abs(REFERENCE_MODE_VALUE - exact_mode(0.5, 1.0, 1.0, 1.0, 1.0)) <= 0.25 / M
 
 
 class TestSolveForward:

@@ -7,16 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma, gamma
 
-from helpers import caputo_quad, frac_integral_quad, observed_rates, richardson_fd
+from helpers import caputo_quad, observed_rates, richardson_fd
 from vordiff import (
     DomainError,
     OrderFunction,
     SampledFunction,
-    SingularOrderError,
     TimeMesh,
     caputo_order_sensitivity,
     caputo_vo,
-    frac_integral_vo,
     l1_weights,
 )
 from vordiff import fracops
@@ -67,6 +65,9 @@ class TestTimeMesh:
         for T, r in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
             with pytest.raises(DomainError, match="finite"):
                 TimeMesh(T, 10, r)
+        for nodes in ([], 5.0):
+            with pytest.raises(DomainError, match="at least two nodes"):
+                TimeMesh.from_nodes(nodes)
 
     @pytest.mark.parametrize(
         "nodes", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [0.0, 0.5, np.inf], [0.0, 0.5, 0.5]]
@@ -148,55 +149,6 @@ class TestProjectAdmissible:
         assert np.array_equal(project_admissible(projected, T, alpha_star), projected)
 
 
-# -- fractional integral -----------------------------------------------
-
-
-class TestFracIntegral:
-    def test_constant_one(self):
-        mesh = TimeMesh(1.0, 1024, 1.0)
-        g = SampledFunction(mesh, np.ones(mesh.M + 1))
-        alpha = OrderFunction((0.5,), 0.9, 1.0)
-        # closed form: int_0^t (t-s)^(a-1) ds = t^a / a, so value = t^a/Gamma(a+1)
-        assert frac_integral_vo(g, alpha, mesh.M) == pytest.approx(
-            1.0 / gamma(1.5), rel=1e-12
-        )
-
-    def test_zero(self):
-        mesh = TimeMesh(1.0, 64, 1.0)
-        g = SampledFunction(mesh, np.zeros(mesh.M + 1))
-        alpha = OrderFunction((0.5,), 0.9, 1.0)
-        assert frac_integral_vo(g, alpha, 64) == 0.0
-
-    def test_linear(self):
-        mesh = TimeMesh(1.0, 1024, 1.0)
-        g = sampled(mesh, lambda t: t)
-        alpha = OrderFunction((0.5,), 0.9, 1.0)
-        # power rule t^(1+a)/Gamma(2+a); cross-checked by quadrature oracle
-        oracle = frac_integral_quad(lambda s: s, 0.5, 1.0)
-        assert oracle == pytest.approx(1.0 / gamma(2.5), rel=1e-10)
-        assert frac_integral_vo(g, alpha, mesh.M) == pytest.approx(oracle, rel=1e-10)
-
-    def test_quadratic_against_quadrature(self):
-        mesh = TimeMesh(1.0, 512, 1.0)
-        g = sampled(mesh, lambda t: t * t)
-        for a in (0.2, 0.8):
-            alpha = OrderFunction((a,), 0.9, 1.0)
-            oracle = frac_integral_quad(lambda s: s * s, a, 1.0)
-            assert frac_integral_vo(g, alpha, 512) == pytest.approx(oracle, rel=1e-5)
-
-    def test_zero_order_rejected(self):
-        mesh = TimeMesh(1.0, 16, 1.0)
-        g = sampled(mesh, lambda t: t)
-        with pytest.raises(SingularOrderError):
-            frac_integral_vo(g, OrderFunction((0.0,), 0.5, 1.0), 8)
-
-    def test_node_zero_rejected(self):
-        mesh = TimeMesh(1.0, 16, 1.0)
-        g = sampled(mesh, lambda t: t)
-        with pytest.raises(DomainError):
-            frac_integral_vo(g, OrderFunction((0.5,), 0.9, 1.0), 0)
-
-
 # -- Caputo derivative --------------------------------------------------
 
 
@@ -244,6 +196,13 @@ class TestCaputo:
         g = sampled(mesh, lambda t: t)
         with pytest.raises(DomainError):
             caputo_vo(g, OrderFunction((0.5,), 0.9, 1.0), 0)
+
+    @pytest.mark.parametrize(
+        "n, order", [(0, 0.5), (9, 0.5), (4, 1.2), (4, 1.0), (4, -0.3), (4, np.nan)]
+    )
+    def test_l1_weights_rejects_bad_node_or_order(self, n, order):
+        with pytest.raises(DomainError):
+            l1_weights(TimeMesh(1.0, 8, 2.0), n, order)
 
     @given(
         a=st.floats(-5.0, 5.0),
