@@ -58,7 +58,7 @@ def run_invert(cfg: RunConfig, args):
     try:
         obs = csvio.read_observations_csv(args.obs)
         check_observations(obs, model)
-    except (OSError, KeyError, IndexError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read observations: {exc}", args.obs) from None
     result = recover_order(obs, model, cfg.inversion_config())
     csvio.write_inversion_csv(os.path.join(cfg.out_dir, "inversion.csv"), result)

@@ -1,7 +1,9 @@
 """CSV emission and ingestion for every artifact the CLI produces.
 
-Floats are written with repr, the shortest decimal that round-trips to
-the same double, so write -> read is lossless.  Files use LF newlines
+Every file is ``# key = value`` comment lines, a header line, then data
+rows; _write_table and _read_table are the format's two halves.  Floats
+are written with repr, the shortest decimal that round-trips to the same
+double, so write -> read is lossless.  Files use LF newlines
 unconditionally, making repeated runs byte-comparable.
 """
 
@@ -18,9 +20,13 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_lines(path, lines):
+def _write_table(path, header, rows, comments=()):
+    """Write a ``# key = value`` line per (key, value) pair in comments, the
+    header, then the data lines in rows, a list of strings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"# {k} = {v}\n" for k, v in comments) + header + "\n")
+        if rows:  # joined apart from the head, so the rows list is not copied
+            fh.write("\n".join(rows) + "\n")
 
 
 def _read_table(path, dtype=float):
@@ -55,12 +61,10 @@ def write_solution_csv(path, field, x_points):
     x = np.asarray(x_points, dtype=float)
     vals = field.basis.design_matrix(x) @ field.values
     xs = [fmt(v) for v in x]
-    lines = ["t,x,u"]
-    for n, t in enumerate(field.mesh.nodes):
-        tn = fmt(t)
-        # tolist() gives Python floats, whose repr is fmt's
-        lines += [f"{tn},{xv},{u!r}" for xv, u in zip(xs, vals[:, n].tolist())]
-    _write_lines(path, lines)
+    # tolist() gives Python floats, whose repr is fmt's
+    ts = zip(map(fmt, field.mesh.nodes), vals.T)
+    rows = [f"{tn},{xv},{u!r}" for tn, col in ts for xv, u in zip(xs, col.tolist())]
+    _write_table(path, "t,x,u", rows)
 
 
 def read_solution_csv(path):
@@ -68,11 +72,9 @@ def read_solution_csv(path):
 
 
 def write_modes_csv(path, field):
-    lines = ["t,i,u_i"]
-    for n, t in enumerate(field.mesh.nodes):
-        tn = fmt(t)
-        lines += [f"{tn},{i},{u!r}" for i, u in enumerate(field.values[:, n].tolist(), 1)]
-    _write_lines(path, lines)
+    ts = zip(map(fmt, field.mesh.nodes), field.values.T)
+    rows = [f"{tn},{i},{u!r}" for tn, col in ts for i, u in enumerate(col.tolist(), 1)]
+    _write_table(path, "t,i,u_i", rows)
 
 
 def read_modes_csv(path):
@@ -81,7 +83,7 @@ def read_modes_csv(path):
 
 
 def write_stability_csv(path, gamma, ratio):
-    _write_lines(path, ["gamma,ratio", f"{fmt(gamma)},{fmt(ratio)}"])
+    _write_table(path, "gamma,ratio", [f"{fmt(gamma)},{fmt(ratio)}"])
 
 
 def read_stability_csv(path):
@@ -92,26 +94,31 @@ def read_stability_csv(path):
 
 
 def write_observations_csv(path, obs: ObservationSet):
-    lines = [
-        f"# window = {fmt(obs.window[0])},{fmt(obs.window[1])}",
-        f"# seed = {obs.seed}",
-        f"# noise_level = {fmt(obs.noise_level)}",
+    comments = [
+        ("window", f"{fmt(obs.window[0])},{fmt(obs.window[1])}"),
+        ("seed", obs.seed),
+        ("noise_level", fmt(obs.noise_level)),
     ]
-    if obs.synthesis_mesh is not None:
-        lines.append(f"# synthesis_M = {obs.synthesis_mesh[0]}")
-        lines.append(f"# synthesis_r = {fmt(obs.synthesis_mesh[1])}")
-    if obs.inversion_mesh is not None:
-        lines.append(f"# inversion_M = {obs.inversion_mesh[0]}")
-        lines.append(f"# inversion_r = {fmt(obs.inversion_mesh[1])}")
-    lines.append("x,t,value")
-    for j, xv in enumerate(obs.x_points):
-        for m, tv in enumerate(obs.t_points):
-            lines.append(f"{fmt(xv)},{fmt(tv)},{fmt(obs.values[j, m])}")
-    _write_lines(path, lines)
+    for name in ("synthesis", "inversion"):  # the (M, r) of obs.<name>_mesh
+        mesh = getattr(obs, f"{name}_mesh")
+        if mesh is not None:
+            comments += [(f"{name}_M", mesh[0]), (f"{name}_r", fmt(mesh[1]))]
+    xs, ts = [fmt(x) for x in obs.x_points], [fmt(t) for t in obs.t_points]
+    rows = [f"{xv},{tv},{u!r}" for xv, col in zip(xs, obs.values.tolist())
+            for tv, u in zip(ts, col)]
+    _write_table(path, "x,t,value", rows, comments)
+
+
+def _comment(comments, key):
+    if key not in comments:
+        raise DomainError(f"missing comment '# {key} = ...'")
+    return comments[key]
 
 
 def read_observations_csv(path) -> ObservationSet:
-    """Rows may come in any order; x and t points are returned sorted."""
+    """Rows may come in any order; x and t points are returned sorted.
+    A missing window, seed, noise_level, or <name>_r beside a <name>_M
+    comment raises DomainError naming it."""
     data, comments = _read_table(path)
     xs, xi = np.unique(data[:, 0], return_inverse=True)
     ts, ti = np.unique(data[:, 1], return_inverse=True)
@@ -120,22 +127,21 @@ def read_observations_csv(path) -> ObservationSet:
         raise DomainError("observations must hold each (x, t) cell exactly once")
     values = np.empty((xs.size, ts.size))
     values[xi, ti] = data[:, 2]
-    window = tuple(float(v) for v in comments["window"].split(","))
-    synth = None
-    if "synthesis_M" in comments:
-        synth = (int(comments["synthesis_M"]), float(comments["synthesis_r"]))
-    inv = None
-    if "inversion_M" in comments:
-        inv = (int(comments["inversion_M"]), float(comments["inversion_r"]))
+    window = tuple(float(v) for v in _comment(comments, "window").split(","))
+    if len(window) != 2:
+        raise DomainError(f"comment '# window = ...' needs two values a,b, got {len(window)}")
+    meshes = {
+        f"{name}_mesh": (int(comments[f"{name}_M"]), float(_comment(comments, f"{name}_r")))
+        for name in ("synthesis", "inversion") if f"{name}_M" in comments
+    }
     return ObservationSet(
         window=window,
         x_points=xs,
         t_points=ts,
         values=values,
-        noise_level=float(comments["noise_level"]),
-        seed=int(comments["seed"]),
-        synthesis_mesh=synth,
-        inversion_mesh=inv,
+        noise_level=float(_comment(comments, "noise_level")),
+        seed=int(_comment(comments, "seed")),
+        **meshes,
     )
 
 
@@ -143,16 +149,14 @@ def read_observations_csv(path) -> ObservationSet:
 
 
 def write_inversion_csv(path, result: InversionResult):
-    lines = [
-        f"# converged = {str(result.converged).lower()}",
-        f"# final_misfit = {fmt(result.final_misfit)}",
-        f"# iterations = {result.iterations}",
-        f"# inverse_crime = {str(result.inverse_crime).lower()}",
-        "coeff_index,value",
+    comments = [
+        ("converged", str(result.converged).lower()),
+        ("final_misfit", fmt(result.final_misfit)),
+        ("iterations", result.iterations),
+        ("inverse_crime", str(result.inverse_crime).lower()),
     ]
-    for i, c in enumerate(result.coeffs):
-        lines.append(f"{i},{fmt(c)}")
-    _write_lines(path, lines)
+    rows = [f"{i},{fmt(c)}" for i, c in enumerate(result.coeffs)]
+    _write_table(path, "coeff_index,value", rows, comments)
 
 
 def read_inversion_csv(path):
@@ -164,10 +168,7 @@ def read_inversion_csv(path):
 
 
 def write_residual_history_csv(path, history):
-    lines = ["iter,residual_norm"]
-    for i, v in enumerate(history):
-        lines.append(f"{i},{fmt(v)}")
-    _write_lines(path, lines)
+    _write_table(path, "iter,residual_norm", [f"{i},{fmt(v)}" for i, v in enumerate(history)])
 
 
 def read_residual_history_csv(path):
@@ -180,11 +181,8 @@ def write_scan_csv(path, scan: ScanResult):
         raise DomainError("scan candidates must share one coefficient count")
     d = widths.pop()
     header = "candidate_id," + ",".join(f"c{i}" for i in range(d)) + ",misfit"
-    lines = [header]
-    for idx, (cand, misfit) in enumerate(zip(scan.candidates, scan.misfits)):
-        body = ",".join(fmt(c) for c in cand)
-        lines.append(f"{idx},{body},{fmt(misfit)}")
-    _write_lines(path, lines)
+    pairs = enumerate(zip(scan.candidates, scan.misfits))
+    _write_table(path, header, [f"{i},{','.join(map(fmt, c))},{fmt(m)}" for i, (c, m) in pairs])
 
 
 def read_scan_csv(path):
@@ -196,12 +194,9 @@ def read_scan_csv(path):
 
 
 def write_regularity_csv(path, report: RegularityReport):
-    lines = [
-        "alpha0,fitted_slope,expected_slope,weighted_norm,verdict",
-        f"{fmt(report.alpha0)},{fmt(report.fitted_slope)},{fmt(report.expected_slope)},"
-        f"{fmt(report.weighted_norm)},{report.verdict}",
-    ]
-    _write_lines(path, lines)
+    cells = (report.alpha0, report.fitted_slope, report.expected_slope, report.weighted_norm)
+    row = f"{','.join(map(fmt, cells))},{report.verdict}"
+    _write_table(path, "alpha0,fitted_slope,expected_slope,weighted_norm,verdict", [row])
 
 
 def read_regularity_csv(path):

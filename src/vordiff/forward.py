@@ -130,7 +130,7 @@ def _block_tables(mesh: TimeMesh, a, k_gam, lam, first: int, count: int, b: int)
     j = n[:, :1] - 1 + np.arange(b + 1)
     p = np.maximum(mesh.nodes[n][..., None] - mesh.nodes[j][:, None], 0.0)
     h = mesh.spacing[j[:, :-1]][:, None]  # h_j, j = first_c..last_c
-    band = _kernel_increments(p, a[n], h, np.empty((count, b, b)))
+    band = _kernel_increments(p, a[n], np.empty((count, b, b)))
     # in-block history: sum_j C[n, j] (u_j - u_{j-1}), C = (I + k_gam band) / h_j,
     # regrouped on u_j into T0; u_{first-1} goes to the right-hand side
     C = (np.eye(b) + k_gam[n - 1, None] * band) / h

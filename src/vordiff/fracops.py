@@ -94,6 +94,9 @@ class TimeMesh:
         if self.nodes is None:
             if not (self.T > 0.0 and np.isfinite(self.T)):
                 raise DomainError(f"mesh horizon T must be positive and finite, got {self.T}")
+            if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
+                raise DomainError(f"mesh intervals M must be an integer, got {self.M!r}")
+            self.M = int(self.M)
             if self.M < 1:
                 raise DomainError(f"mesh needs M >= 1 intervals, got {self.M}")
             if self.r is None or not (self.r >= 1.0 and np.isfinite(self.r)):
@@ -212,20 +215,11 @@ def _kernel_values(p, a) -> np.ndarray:
     return p
 
 
-def _kernel_increments(p, a, h, inc) -> np.ndarray:
-    """The L1 increment rule, shared by every builder of increment rows.
-
-    p and a are as for _kernel_values over consecutive nodes j; p becomes
-    the kernel values and inc the increments p_{j-1} - p_j, except at
-    a_n = 0: there the row holds the steps h (broadcast against inc) where
-    t_{j-1} < t_n and 0 after, so that l1_weights is exactly 1.
-    """
-    _kernel_values(p, a)
-    np.subtract(p[..., :-1], p[..., 1:], out=inc)
-    zero = a == 0.0
-    if zero.any():
-        inc[zero] = np.where(p[zero][:, :-1] > 0.0, np.broadcast_to(h, inc.shape)[zero], 0.0)
-    return inc
+def _kernel_increments(p, a, inc) -> np.ndarray:
+    """The L1 increments p_{j-1} - p_j into inc, shared by every builder of
+    increment rows; p and a are as for _kernel_values over consecutive
+    nodes j, and p becomes the kernel values.  Returns inc."""
+    return np.subtract(_kernel_values(p, a)[..., :-1], p[..., 1:], out=inc)
 
 
 def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
@@ -240,9 +234,11 @@ def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:
     _check_node(mesh, n)
     a = np.array([alpha_n], dtype=float)
     _check_orders(a)
+    if alpha_n == 0.0:
+        return np.ones(n)
     h = mesh.spacing[:n]
     p = mesh.nodes[n] - mesh.nodes[None, : n + 1]
-    return _kernel_increments(p, a, h, np.empty((1, n)))[0] / (math.gamma(2.0 - alpha_n) * h)
+    return _kernel_increments(p, a, np.empty((1, n)))[0] / (math.gamma(2.0 - alpha_n) * h)
 
 
 def caputo_vo(g: SampledFunction, alpha: OrderFunction, n: int) -> float:

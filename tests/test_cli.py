@@ -217,6 +217,15 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "inv")]) == 2
         assert str(obs) in capsys.readouterr().err
 
+    def test_missing_observation_comment_exit_2(self, tmp_path, capsys):
+        cfg, head, rows = self._synth(tmp_path)
+        obs = tmp_path / "broken.csv"
+        obs.write_text("\n".join([ln for ln in head if not ln.startswith("# seed ")] + rows) + "\n")
+        assert main(["invert", "--config", cfg, "--obs", str(obs),
+                     "--out", str(tmp_path / "inv")]) == 2
+        err = capsys.readouterr().err
+        assert str(obs) in err and "missing comment '# seed = ...'" in err
+
     def test_shuffled_observations_invert_identically(self, tmp_path):
         cfg, head, rows = self._synth(tmp_path)
         order = np.random.default_rng(5).permutation(len(rows))

@@ -15,6 +15,7 @@ from vordiff.forward import ModelSpec
 from vordiff.inverse import (
     InversionConfig,
     InversionResult,
+    ObservationSet,
     ScanResult,
     synthesize_observations,
 )
@@ -240,6 +241,59 @@ def _small_observations():
     )
 
 
+def _pinned_observations(meshes):
+    return ObservationSet(
+        window=(0.5, 2.5), x_points=[1.0, 2.0], t_points=[0.25, 1.0],
+        values=[[0.1, 1 / 3], [-2.5e-17, 4.0]], noise_level=0.001, seed=7,
+        **({"synthesis_mesh": (64, 2.0), "inversion_mesh": (16, 1 / 0.7)} if meshes else {}),
+    )
+
+
+# Every writer but the two field writers on small fixed inputs, with the
+# exact bytes it must write: comments, header, rows, LF, trailing newline.
+PINNED_WRITES = {
+    "observations_meshes": lambda p: csvio.write_observations_csv(p, _pinned_observations(True)),
+    "observations_plain": lambda p: csvio.write_observations_csv(p, _pinned_observations(False)),
+    "inversion_crime_none": lambda p: csvio.write_inversion_csv(
+        p, InversionResult((0.3, 0.2), [1.0, 0.5, 0.125], "tolerance", None)),
+    "inversion_crime_true": lambda p: csvio.write_inversion_csv(
+        p, InversionResult((0.1,), [2.0], "no_descent", True)),
+    "residual_history": lambda p: csvio.write_residual_history_csv(p, [1.0, 0.1, 1e-20]),
+    "scan": lambda p: csvio.write_scan_csv(
+        p, ScanResult([(0.1, 0.2), (0.3, -0.05)], [3.0, 0.001])),
+    "regularity": lambda p: csvio.write_regularity_csv(
+        p, RegularityReport(0.5, -0.497, 1.234, (1e-3, 0.1))),
+    "stability": lambda p: csvio.write_stability_csv(p, 1.5, 0.987654321012345678),
+}
+PINNED_BYTES = {
+    "observations_meshes": (
+        "# window = 0.5,2.5\n# seed = 7\n# noise_level = 0.001\n"
+        "# synthesis_M = 64\n# synthesis_r = 2.0\n"
+        "# inversion_M = 16\n# inversion_r = 1.4285714285714286\n"
+        "x,t,value\n1.0,0.25,0.1\n1.0,1.0,0.3333333333333333\n2.0,0.25,-2.5e-17\n2.0,1.0,4.0\n"
+    ),
+    "observations_plain": (
+        "# window = 0.5,2.5\n# seed = 7\n# noise_level = 0.001\n"
+        "x,t,value\n1.0,0.25,0.1\n1.0,1.0,0.3333333333333333\n2.0,0.25,-2.5e-17\n2.0,1.0,4.0\n"
+    ),
+    "inversion_crime_none": (
+        "# converged = true\n# final_misfit = 0.125\n# iterations = 2\n# inverse_crime = none\n"
+        "coeff_index,value\n0,0.3\n1,0.2\n"
+    ),
+    "inversion_crime_true": (
+        "# converged = false\n# final_misfit = 2.0\n# iterations = 0\n# inverse_crime = true\n"
+        "coeff_index,value\n0,0.1\n"
+    ),
+    "residual_history": "iter,residual_norm\n0,1.0\n1,0.1\n2,1e-20\n",
+    "scan": "candidate_id,c0,c1,misfit\n0,0.1,0.2,3.0\n1,0.3,-0.05,0.001\n",
+    "regularity": (
+        "alpha0,fitted_slope,expected_slope,weighted_norm,verdict\n"
+        "0.5,-0.497,-0.5,1.234,singular\n"
+    ),
+    "stability": "gamma,ratio\n1.5,0.9876543210123456\n",
+}
+
+
 class TestCsvRoundTrips:
     def test_solution(self, tmp_path):
         field = _small_field()
@@ -276,6 +330,12 @@ class TestCsvRoundTrips:
         csvio.write_modes_csv(tmp_path / "modes.csv", field)
         assert (tmp_path / "solution.csv").read_bytes() == ("\n".join(sol) + "\n").encode()
         assert (tmp_path / "modes.csv").read_bytes() == ("\n".join(modes) + "\n").encode()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+    def test_writer_bytes_pinned(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        PINNED_WRITES[name](path)
+        assert path.read_bytes() == PINNED_BYTES[name].encode()
 
     def test_stability(self, tmp_path):
         path = tmp_path / "stability.csv"
@@ -320,6 +380,20 @@ class TestCsvRoundTrips:
         path = tmp_path / "broken.csv"
         path.write_text("\n".join(head + rows) + "\n")
         with pytest.raises(ValueError, match="exactly once|data row"):
+            csvio.read_observations_csv(path)
+
+    @pytest.mark.parametrize("edit", ["window", "seed", "synthesis_r", "short_window"])
+    def test_observations_missing_comment_named(self, tmp_path, edit):
+        head, rows = self._observation_lines(tmp_path)
+        if edit == "short_window":
+            head = ["# window = 1.0" if ln.startswith("# window ") else ln for ln in head]
+            match = "'# window = ...' needs two values"
+        else:
+            head = [ln for ln in head if not ln.startswith(f"# {edit} ")]
+            match = re.escape(f"missing comment '# {edit} = ...'")
+        path = tmp_path / "broken.csv"
+        path.write_text("\n".join(head + rows) + "\n")
+        with pytest.raises(DomainError, match=match):
             csvio.read_observations_csv(path)
 
     @pytest.mark.parametrize("edit", OBSERVATION_EDITS)

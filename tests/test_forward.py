@@ -307,6 +307,22 @@ class TestExactReference:
         rate = np.log(errs[0] / errs[1]) / np.log(4.0)
         assert 0.95 <= rate <= 1.10, (a, rate)
 
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.8])
+    def test_first_order_error_at_coarse_nodes(self, a):
+        # the 17 nodes of TimeMesh(1, 16, r) are nodes of each finer mesh;
+        # measured M * max error 0.159-0.195, rates 1.00-1.04
+        coarse = TimeMesh(1.0, 16, default_grading(a))
+        exact = [1.0] + [exact_mode(a, 1.0, 1.0, 1.0, t) for t in coarse.nodes[1:]]
+        errs = []
+        for M in (256, 1024):
+            mesh = TimeMesh(1.0, M, default_grading(a))
+            assert np.array_equal(mesh.nodes[:: M // 16], coarse.nodes)
+            u = step_modes(mesh, np.full(M + 1, a), np.ones(M + 1), [1.0], [1.0])[0]
+            errs.append(np.abs(u[:: M // 16] - exact).max())
+            assert errs[-1] <= 0.25 / M, (a, M, errs[-1])
+        rate = np.log(errs[0] / errs[1]) / np.log(4.0)
+        assert 0.95 <= rate <= 1.10, (a, rate)
+
     def test_talbot_agrees_with_de_hoog(self):
         talbot = exact_mode(0.5, 1.0, 1.0, 1.0, 1.0)
         assert abs(talbot - exact_mode(0.5, 1.0, 1.0, 1.0, 1.0, method="dehoog")) <= 1e-14

@@ -68,6 +68,15 @@ class TestTimeMesh:
         for nodes in ([], 5.0):
             with pytest.raises(DomainError, match="at least two nodes"):
                 TimeMesh.from_nodes(nodes)
+        # M = 2.5 would build nodes past T, True would stay a bool, and 8.0
+        # would build a mesh that step_modes cannot index
+        for M in (2.5, True, 8.0):
+            with pytest.raises(DomainError, match="integer"):
+                TimeMesh(1.0, M, 1.0)
+
+    def test_numpy_integer_intervals_accepted(self):
+        m = TimeMesh(1.0, np.int64(8), 2.0)
+        assert m.M == 8 and m.nodes[-1] == 1.0
 
     @pytest.mark.parametrize(
         "nodes", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [0.0, 0.5, np.inf], [0.0, 0.5, 0.5]]
