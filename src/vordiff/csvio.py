@@ -109,16 +109,21 @@ def write_observations_csv(path, obs: ObservationSet):
     _write_table(path, "x,t,value", rows, comments)
 
 
-def _comment(comments, key):
+def _comment(comments, key, parse, kind):
+    """The value of comment key, parsed by parse; a missing comment or a
+    value parse rejects, which is not kind, raises DomainError naming it."""
     if key not in comments:
         raise DomainError(f"missing comment '# {key} = ...'")
-    return comments[key]
+    try:
+        return parse(comments[key])
+    except ValueError:
+        raise DomainError(f"comment '# {key} = {comments[key]}' is not {kind}") from None
 
 
 def read_observations_csv(path) -> ObservationSet:
     """Rows may come in any order; x and t points are returned sorted.
-    A missing window, seed, noise_level, or <name>_r beside a <name>_M
-    comment raises DomainError naming it."""
+    A missing or malformed window, seed, noise_level, <name>_M, or
+    <name>_r beside a <name>_M comment raises DomainError naming it."""
     data, comments = _read_table(path)
     xs, xi = np.unique(data[:, 0], return_inverse=True)
     ts, ti = np.unique(data[:, 1], return_inverse=True)
@@ -127,11 +132,12 @@ def read_observations_csv(path) -> ObservationSet:
         raise DomainError("observations must hold each (x, t) cell exactly once")
     values = np.empty((xs.size, ts.size))
     values[xi, ti] = data[:, 2]
-    window = tuple(float(v) for v in _comment(comments, "window").split(","))
+    window = _comment(comments, "window", lambda v: tuple(map(float, v.split(","))), "numbers a,b")
     if len(window) != 2:
         raise DomainError(f"comment '# window = ...' needs two values a,b, got {len(window)}")
     meshes = {
-        f"{name}_mesh": (int(comments[f"{name}_M"]), float(_comment(comments, f"{name}_r")))
+        f"{name}_mesh": (_comment(comments, f"{name}_M", int, "an integer"),
+                         _comment(comments, f"{name}_r", float, "a number"))
         for name in ("synthesis", "inversion") if f"{name}_M" in comments
     }
     return ObservationSet(
@@ -139,8 +145,8 @@ def read_observations_csv(path) -> ObservationSet:
         x_points=xs,
         t_points=ts,
         values=values,
-        noise_level=float(_comment(comments, "noise_level")),
-        seed=int(_comment(comments, "seed")),
+        noise_level=_comment(comments, "noise_level", float, "a number"),
+        seed=_comment(comments, "seed", int, "an integer"),
         **meshes,
     )
 

@@ -211,6 +211,7 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
             f"alpha = {a_n[n]:.6g}); the scheme requires k >= 0 and lam > 0"
         )
     distinct, which = np.unique(lam, return_inverse=True)
+    which = None if np.array_equal(distinct, lam) else which  # gather only to reorder or repeat
     inputs = (mesh.nodes, a, k, distinct)
     built = inputs if tables is None else tables.setdefault("inputs", tuple(map(np.copy, inputs)))
     if not all(map(np.array_equal, built, inputs)):
@@ -220,7 +221,7 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     B = min(STEP_BLOCK, M)
     p = np.empty((B, M))  # one block's kernel rows
     g = np.zeros((N, M + 1))  # g_0..g_m of the sum by parts, g_m = -s_m
-    hist = np.empty((N, B, 1))
+    hist, rhs = np.empty((N, B, 1)), np.empty((N, B, 1))
     per_chunk = max(1, CHUNK_INVERSES // distinct.size)
     done = 0  # blocks covered by the current chunk's tables
     for q, first in enumerate(range(1, M + 1, B)):
@@ -238,13 +239,16 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
         # history before the block: numpy runs a stacked matmul as one gemv
         # per mode, so no mode's sum depends on the others (a GEMM's would)
         np.matmul(_kernel_values(rows, a[first : last + 1]), g[:, : m + 1, None], out=hist[:, :b])
-        rhs = chunk[0][q - start] * u[:, m, None, None] - k_gam[blk, None] * hist[:, :b]
+        r = np.multiply(chunk[0][q - start], u[:, m, None, None], out=rhs[:, :b])
+        r -= np.multiply(k_gam[blk, None], hist[:, :b], out=hist[:, :b])
         if forcing is not None:
-            rhs += forcing[:, first : last + 1, None]
-        u[:, first : last + 1] = np.matmul(chunk[1][q - start][which], rhs)[:, :, 0]
+            r += forcing[:, first : last + 1, None]
+        inv = chunk[1][q - start]
+        u[:, first : last + 1] = np.matmul(inv if which is None else inv[which], r)[:, :, 0]
         slopes = np.diff(u[:, m : last + 1], axis=1) / h[blk]
-        # -g_m is s_m; the appended 0 leaves g_last = -s_last for the next block
-        g[:, m : last + 1] = np.diff(slopes, axis=1, prepend=-g[:, m, None], append=0.0)
+        g[:, m] += slopes[:, 0]  # g_m held -s_m
+        np.subtract(slopes[:, 1:], slopes[:, :-1], out=g[:, m + 1 : last])
+        np.subtract(0.0, slopes[:, -1], out=g[:, last])  # -s_last, until the next block
     if not np.all(np.isfinite(u)):
         raise NumericalError("trajectory contains non-finite values")
     return u

@@ -286,10 +286,15 @@ def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
     t = mesh.nodes
     tau = np.maximum(t[n, None] - t[: n.max() + 1], 0.0)  # zero for j >= n
     p = tau ** oma[:, None]
-    q = p * np.log(np.where(tau > 0.0, tau, 1.0))
+    tau[tau <= 0.0] = 1.0
+    q = np.multiply(p, np.log(tau, out=tau), out=tau)  # 0 where p is
     gamma = np.fromiter(map(math.gamma, 2.0 - a), float, a.size)
     psi = _digamma(oma) + 1.0 / oma
-    return (psi[:, None] * (p[:, :-1] - p[:, 1:]) - (q[:, :-1] - q[:, 1:])) / gamma[:, None]
+    w = p[:, :-1] - p[:, 1:]
+    w *= psi[:, None]
+    w -= np.subtract(q[:, :-1], q[:, 1:], out=p[:, :-1])  # p is spent
+    w /= gamma[:, None]
+    return w
 
 
 def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:

@@ -4,13 +4,19 @@ These never call back into the product code paths they check: fractional
 values come from adaptive QUADPACK quadrature with algebraic endpoint
 weights, derivatives from Richardson-extrapolated central differences,
 and exact_mode inverts the Laplace transform of one constant-order mode.
-edit_observations writes the defective observation files that the input
-checks must reject.
+The reference_* functions are the plain forms of optimized product
+routines, kept to compare against; they share with the product only its
+kernel rule and scalar special functions.  edit_observations writes the
+defective observation files that the input checks must reject.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma
+
+from vordiff.fracops import _digamma, _kernel_increments
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
@@ -24,18 +30,57 @@ def caputo_quad(gprime, alpha, t):
     return value / gamma(1.0 - alpha)
 
 
-def exact_mode(a, k, lam, u0, t, method="talbot"):
-    """u(t) for u' + k D^a u = -lam u, u(0) = u0, at constant order a and k.
+def exact_mode(a, k, lam, u0, t, method="talbot", derivative=0):
+    """u(t), u'(t) or u''(t) (derivative 0, 1 or 2) for u' + k D^a u = -lam u,
+    u(0) = u0, at constant order a and k.
 
     Its Laplace transform is U(s) = u0 (1 + k s^(a-1)) / (s + k s^a + lam);
-    mpmath inverts it at 30 digits by Talbot's method, or by de Hoog's.
+    u' has s U - u0 and, as u'(0) = -lam u0, u'' has s^2 U - s u0 + lam u0.
+    mpmath inverts them at 30 digits by Talbot's method, or by de Hoog's.
     """
     import mpmath
 
     with mpmath.workdps(30):
         a, k, lam, u0 = map(mpmath.mpf, (a, k, lam, u0))
         U = lambda s: u0 * (1 + k * s ** (a - 1)) / (s + k * s**a + lam)
-        return float(mpmath.invertlaplace(U, mpmath.mpf(t), method=method))
+        F = (U, lambda s: s * U(s) - u0, lambda s: s * s * U(s) - s * u0 + lam * u0)[derivative]
+        return float(mpmath.invertlaplace(F, mpmath.mpf(t), method=method))
+
+
+def reference_block_inverses(mesh, a, k_gam, lam, first, count, b):
+    """The inverses (T0 + lam_i I)^-1 of forward._block_tables, (count,
+    lam.size, b, b), by forward substitution: row i of the inverse is final
+    once column i is eliminated below it, elementwise over every (block,
+    eigenvalue) pair, so no inverse depends on the others."""
+    n = first + np.arange(count * b).reshape(count, b)
+    j = n[:, :1] - 1 + np.arange(b + 1)
+    p = np.maximum(mesh.nodes[n][..., None] - mesh.nodes[j][:, None], 0.0)
+    h = mesh.spacing[j[:, :-1]][:, None]
+    band = _kernel_increments(p, a[n], np.empty((count, b, b)))
+    C = (np.eye(b) + k_gam[n - 1, None] * band) / h
+    T0 = C.copy()
+    T0[..., :-1] -= C[..., 1:]
+    T0 = np.repeat(T0.transpose(1, 2, 0), lam.size, axis=2)
+    diag = np.diagonal(T0).T + np.tile(lam, count)
+    inv = np.zeros((b, b, count * lam.size))
+    inv[np.arange(b), np.arange(b)] = 1.0
+    for i in range(b):
+        inv[i, : i + 1] /= diag[i]
+        inv[i + 1 :, : i + 1] -= T0[i + 1 :, i, None] * inv[i, : i + 1]
+    return inv.reshape(b, b, count, lam.size).transpose(2, 3, 0, 1)
+
+
+def reference_sensitivity_rows(mesh, n, a):
+    """fracops._sensitivity_weight_rows written with whole-array temporaries,
+    in the same operation order: bitwise equal to the in-place rows."""
+    oma = 1.0 - a
+    t = mesh.nodes
+    tau = np.maximum(t[n, None] - t[: n.max() + 1], 0.0)
+    p = tau ** oma[:, None]
+    q = p * np.log(np.where(tau > 0.0, tau, 1.0))
+    gam = np.fromiter(map(math.gamma, 2.0 - a), float, a.size)
+    psi = _digamma(oma) + 1.0 / oma
+    return (psi[:, None] * (p[:, :-1] - p[:, 1:]) - (q[:, :-1] - q[:, 1:])) / gam[:, None]
 
 
 def richardson_fd(f, x, h=1e-5):

@@ -226,6 +226,16 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert str(obs) in err and "missing comment '# seed = ...'" in err
 
+    def test_malformed_observation_comment_exit_2(self, tmp_path, capsys):
+        cfg, head, rows = self._synth(tmp_path)
+        obs = tmp_path / "broken.csv"
+        head = ["# seed = x" if ln.startswith("# seed ") else ln for ln in head]
+        obs.write_text("\n".join(head + rows) + "\n")
+        assert main(["invert", "--config", cfg, "--obs", str(obs),
+                     "--out", str(tmp_path / "inv")]) == 2
+        err = capsys.readouterr().err
+        assert str(obs) in err and "comment '# seed = x' is not an integer" in err
+
     def test_shuffled_observations_invert_identically(self, tmp_path):
         cfg, head, rows = self._synth(tmp_path)
         order = np.random.default_rng(5).permutation(len(rows))

@@ -396,6 +396,18 @@ class TestCsvRoundTrips:
         with pytest.raises(DomainError, match=match):
             csvio.read_observations_csv(path)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("seed", "x", "an integer"), ("synthesis_M", "2.5", "an integer"),
+        ("noise_level", "abc", "a number"), ("window", "0.5,b", "numbers a,b"),
+    ])
+    def test_observations_malformed_comment_named(self, tmp_path, key, value, kind):
+        head, rows = self._observation_lines(tmp_path)
+        head = [f"# {key} = {value}" if ln.startswith(f"# {key} ") else ln for ln in head]
+        path = tmp_path / "broken.csv"
+        path.write_text("\n".join(head + rows) + "\n")
+        with pytest.raises(DomainError, match=re.escape(f"comment '# {key} = {value}' is not {kind}")):
+            csvio.read_observations_csv(path)
+
     @pytest.mark.parametrize("edit", OBSERVATION_EDITS)
     def test_observations_non_finite_rejected(self, tmp_path, edit):
         head, rows = self._observation_lines(tmp_path)

@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import exact_mode
+from helpers import exact_mode, reference_block_inverses
 from vordiff import (
     DomainError,
     ModelSpec,
@@ -19,7 +20,7 @@ from vordiff import (
     step_modes,
 )
 import vordiff.forward
-from vordiff.forward import STEP_BLOCK
+from vordiff.forward import CHUNK_INVERSES, STEP_BLOCK, _block_tables
 
 L = np.pi
 MODE1 = lambda x: np.sqrt(2.0 / L) * np.sin(np.asarray(x))
@@ -275,6 +276,34 @@ def test_step_tables_read_only_for_their_inputs():
     assert np.array_equal(again[:2], first[::-1])
 
 
+@pytest.mark.parametrize("M, r, coeffs, lam", [
+    (8192, 4.0, (0.5,), [1.0, 4.0]),  # forward_fine's first chunk, h_1 = 2.2e-16
+    (256, 2.0 / 0.7, (0.3, 0.2), np.geomspace(1.0, 1e6, 16)),
+    (33, 2.5, (0.3, 0.2), [1.0, 1e3, 1e6]),  # short last blocks of 1, 7 and 15 nodes
+    (39, 2.5, (0.3, 0.2), [1.0, 1e3, 1e6]),
+    (47, 2.5, (0.0, 0.4), [1.0, 1e3, 1e6]),
+])
+def test_block_inverses_bitwise_per_eigenvalue(M, r, coeffs, lam):
+    # the in-block inverses are accurate against forward substitution, and
+    # each is bitwise the one it gets alone: as the only eigenvalue of its
+    # chunk and as the only block
+    mesh = TimeMesh(1.0, M, r)
+    a = OrderFunction(coeffs, 0.95, 1.0)(mesh.nodes)
+    k_gam = 1.0 / np.fromiter(map(math.gamma, 2.0 - a[1:]), float, M)
+    lam = np.asarray(lam)
+    b = M % STEP_BLOCK or STEP_BLOCK
+    first, count = (1, min(CHUNK_INVERSES // lam.size, M // b)) if b == STEP_BLOCK else (M - b + 1, 1)
+    inv = _block_tables(mesh, a, k_gam, lam, first, count, b)[1]
+    assert inv.shape == (count, lam.size, b, b)
+    want = reference_block_inverses(mesh, a, k_gam, lam, first, count, b)
+    scale = np.abs(want).max(axis=(2, 3), keepdims=True)
+    assert np.all(np.abs(inv - want) <= 1e-14 * scale)
+    for i in range(lam.size):
+        alone = _block_tables(mesh, a, k_gam, lam[i : i + 1], first, count, b)[1]
+        assert np.array_equal(alone[:, 0], inv[:, i])
+    assert np.array_equal(_block_tables(mesh, a, k_gam, lam, first, 1, b)[1][0], inv[0])
+
+
 def test_step_modes_memory_ceiling():
     # the tables of one chunk at a time are kept: at M = 8192, N = 2 the
     # whole call, with its one (16, M) row buffer, peaks below 2.6 MiB
@@ -327,6 +356,22 @@ class TestExactReference:
         talbot = exact_mode(0.5, 1.0, 1.0, 1.0, 1.0)
         assert abs(talbot - exact_mode(0.5, 1.0, 1.0, 1.0, 1.0, method="dehoog")) <= 1e-14
         assert talbot == pytest.approx(0.593238799137824, abs=1e-14)
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.8])
+    def test_first_derivative_starts_at_minus_lam_u0(self, a):
+        # u'(0) = -lam u0; measured offsets 4.4e-9, 1.1e-6 and 4.3e-3 at t = 1e-12
+        assert exact_mode(a, 1.0, 1.0, 1.0, 1e-12, derivative=1) == pytest.approx(-1.0, rel=1e-2)
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.8])
+    def test_second_derivative_blow_up_constant(self, a):
+        # t^a u''(t) -> k lam u0 / Gamma(1 - a) as t -> 0: measured offsets
+        # 3.3e-4, 2.0e-12 and 8.2e-3 at t = 1e-12, where Talbot and de Hoog
+        # agree to 2.4e-9 at worst
+        t = 1e-12
+        talbot = exact_mode(a, 1.0, 1.0, 1.0, t, derivative=2)
+        assert t**a * talbot * math.gamma(1.0 - a) == pytest.approx(1.0, rel=2e-2)
+        dehoog = exact_mode(a, 1.0, 1.0, 1.0, t, method="dehoog", derivative=2)
+        assert abs(talbot - dehoog) <= 1e-8 * abs(dehoog)
 
     def test_frozen_reference_distance_from_truth(self):
         # REFERENCE_MODE_VALUE is the scheme's own M = 16384 value, 1.15e-5

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma, gamma
 
-from helpers import caputo_quad, observed_rates, richardson_fd
+from helpers import caputo_quad, observed_rates, reference_sensitivity_rows, richardson_fd
 from vordiff import (
     DomainError,
     OrderFunction,
@@ -328,6 +328,17 @@ class TestOrderSensitivity:
                 m.setattr(fracops, "math", types.SimpleNamespace(gamma=gamma))
                 reference = fracops._sensitivity_weight_rows(mesh, n, a)
             np.testing.assert_allclose(rows, reference, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("order", [lambda t: np.full_like(t, 0.5), lambda t: 0.3 + 0.2 * t])
+    def test_rows_bitwise_against_reference(self, order):
+        # the blocks of order_sensitivities at M = 256, and one block of 1,000 nodes
+        small, large = TimeMesh(1.0, 256, 2.0 / 0.7), TimeMesh(1.0, 1000, 2.0 / 0.7)
+        cases = [(small, np.arange(first, first + SENSITIVITY_BLOCK))
+                 for first in range(1, 257, SENSITIVITY_BLOCK)]
+        for mesh, n in cases + [(large, np.arange(1, 1001))]:
+            a = order(mesh.nodes[n])
+            rows = fracops._sensitivity_weight_rows(mesh, n, a)
+            assert np.array_equal(rows, reference_sensitivity_rows(mesh, n, a))
 
     @pytest.mark.parametrize("r", [1.0, 2.5, 4.0])
     def test_rows_match_mpmath_order_derivative(self, r):
