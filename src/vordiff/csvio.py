@@ -110,8 +110,7 @@ def write_observations_csv(path, obs: ObservationSet):
 
 
 def _comment(comments, key, parse, kind):
-    """The value of comment key, parsed by parse; a missing comment or a
-    value parse rejects, which is not kind, raises DomainError naming it."""
+    """Comment key's value by parse; DomainError names a missing or malformed one."""
     if key not in comments:
         raise DomainError(f"missing comment '# {key} = ...'")
     try:
@@ -135,11 +134,9 @@ def read_observations_csv(path) -> ObservationSet:
     window = _comment(comments, "window", lambda v: tuple(map(float, v.split(","))), "numbers a,b")
     if len(window) != 2:
         raise DomainError(f"comment '# window = ...' needs two values a,b, got {len(window)}")
-    meshes = {
-        f"{name}_mesh": (_comment(comments, f"{name}_M", int, "an integer"),
-                         _comment(comments, f"{name}_r", float, "a number"))
-        for name in ("synthesis", "inversion") if f"{name}_M" in comments
-    }
+    meshes = {f"{name}_mesh": (_comment(comments, f"{name}_M", int, "an integer"),
+                               _comment(comments, f"{name}_r", float, "a number"))
+              for name in ("synthesis", "inversion") if f"{name}_M" in comments}
     return ObservationSet(
         window=window,
         x_points=xs,

@@ -14,11 +14,11 @@ current-step weight moved to the implicit side, and k, alpha frozen at
 the new node.  step_modes advances all modes together, STEP_BLOCK nodes
 at a time: each block builds its rows of kernel values at once and sums
 them by parts against every mode's slope differences from before it; the
-block's own lower-triangular system is applied through its inverses,
-precomputed once per distinct eigenvalue for a chunk of blocks at a time.
-The node scalars and step coefficients are computed and checked once per
-pass.  Cost is O(M^2) for the kernel values plus O(M^2) per mode for the
-history sums, in M / STEP_BLOCK Python iterations.
+block's own lower-triangular system is applied through its inverses, built
+by recursive doubling once per distinct eigenvalue for a chunk of blocks
+at a time.  The node scalars and step coefficients are computed and
+checked once per pass.  Cost is O(M^2) for the kernel values plus O(M^2)
+per mode for the history sums, in M / STEP_BLOCK Python iterations.
 """
 
 from __future__ import annotations
@@ -123,8 +123,10 @@ class SolutionField:
 def _block_tables(mesh: TimeMesh, a, k_gam, lam, first: int, count: int, b: int):
     """step_modes' tables of count consecutive b-node blocks from node first:
     C[:, 0] of each block, (count, b, 1), and (T0 + lam_i I)^-1 for each
-    eigenvalue in lam, (count, lam.size, b, b).  The forward substitution
-    is elementwise, so an inverse does not depend on the other eigenvalues.
+    eigenvalue in lam, (count, lam.size, b, b), by recursive doubling: each
+    diagonal block [[A, 0], [X, D]] of width 2, 4, .. gets its lower-left
+    -D^-1 X A^-1, in matmuls batched over all (block, eigenvalue) pairs.
+    Each pair has its own small products, so no inverse depends on the others.
     """
     n = first + np.arange(count * b).reshape(count, b)
     j = n[:, :1] - 1 + np.arange(b + 1)
@@ -134,17 +136,19 @@ def _block_tables(mesh: TimeMesh, a, k_gam, lam, first: int, count: int, b: int)
     # in-block history: sum_j C[n, j] (u_j - u_{j-1}), C = (I + k_gam band) / h_j,
     # regrouped on u_j into T0; u_{first-1} goes to the right-hand side
     C = (np.eye(b) + k_gam[n - 1, None] * band) / h
-    T0 = C.copy()
-    T0[..., :-1] -= C[..., 1:]
-    # the batch of (block, eigenvalue) pairs is the contiguous last axis
-    T0 = np.repeat(T0.transpose(1, 2, 0), lam.size, axis=2)
-    diag = np.diagonal(T0).T + np.tile(lam, count)
-    inv = np.zeros((b, b, count * lam.size))
-    inv[np.arange(b), np.arange(b)] = 1.0
-    for i in range(b):  # row i of the inverse is final; eliminate column i below it
-        inv[i, : i + 1] /= diag[i]
-        inv[i + 1 :, : i + 1] -= T0[i + 1 :, i, None] * inv[i, : i + 1]
-    return C[..., :1], inv.reshape(b, b, count, lam.size).transpose(2, 3, 0, 1).copy()
+    size = 1 << (b - 1).bit_length()  # a short block is padded with zeros
+    T0 = np.zeros((count, size, size))
+    T0[:, :b, :b] = C
+    T0[:, :b, : b - 1] -= C[..., 1:]
+    inv = np.repeat(-T0[:, None], lam.size, axis=1)  # each -X, until its doubling step
+    diag = np.diagonal(T0, axis1=1, axis2=2)[:, None] + lam[:, None]
+    inv.reshape(count, lam.size, -1)[..., :: size + 1] = 1.0 / diag
+    *outer, row, col = inv.strides
+    for hw in (1 << i for i in range(size.bit_length() - 1)):  # half widths 1, 2, 4, ..
+        d = np.ndarray((count, lam.size, size // (2 * hw), 2 * hw, 2 * hw), float, inv, 0,
+                       (*outer, 2 * hw * (row + col), row, col))  # the diagonal blocks
+        np.matmul(d[..., hw:, hw:] @ d[..., hw:, :hw], d[..., :hw, :hw], out=d[..., hw:, :hw])
+    return C[..., :1], np.ascontiguousarray(inv[..., :b, :b])
 
 
 def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.ndarray:
@@ -178,13 +182,14 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     needs no a_n = 0 case: p_j is then t_n - t_j, whose differences are the
     steps h_j.  The block's own equations form the lower-triangular system
     (T0 + lam_i I) u = r_i with T0 independent of the mode; its inverses,
-    one per distinct eigenvalue, come from _block_tables for a chunk of
-    CHUNK_INVERSES // (distinct eigenvalues) blocks at a time, dropped once
-    stepped.  A dict given as tables keeps every chunk's tables instead: an
-    empty one is filled, a filled one (same mesh, a, k and distinct
-    eigenvalues) is read and nothing is built.  A mode's arithmetic never
-    mixes with another's, so its trajectory is bitwise the same whichever
-    other modes share the call.
+    one per distinct eigenvalue, come by recursive doubling from
+    _block_tables for a chunk of CHUNK_INVERSES // (distinct eigenvalues)
+    blocks at a time, are gathered into mode order only when lam is not
+    strictly ascending, and are dropped once stepped.  A dict given as
+    tables keeps every chunk's tables instead: an empty one is filled, a
+    filled one (same mesh, a, k and distinct eigenvalues) is read and
+    nothing is built.  A mode's arithmetic never mixes with another's, so
+    its trajectory is bitwise the same whichever other modes share the call.
     """
     a, k = np.asarray(a, dtype=float), np.asarray(k, dtype=float)
     lam, u0 = np.asarray(lam, dtype=float), np.asarray(u0, dtype=float)
@@ -211,7 +216,7 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
             f"alpha = {a_n[n]:.6g}); the scheme requires k >= 0 and lam > 0"
         )
     distinct, which = np.unique(lam, return_inverse=True)
-    which = None if np.array_equal(distinct, lam) else which  # gather only to reorder or repeat
+    which = slice(None) if np.array_equal(distinct, lam) else which  # gather to reorder or repeat
     inputs = (mesh.nodes, a, k, distinct)
     built = inputs if tables is None else tables.setdefault("inputs", tuple(map(np.copy, inputs)))
     if not all(map(np.array_equal, built, inputs)):
@@ -243,9 +248,8 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
         r -= np.multiply(k_gam[blk, None], hist[:, :b], out=hist[:, :b])
         if forcing is not None:
             r += forcing[:, first : last + 1, None]
-        inv = chunk[1][q - start]
-        u[:, first : last + 1] = np.matmul(inv if which is None else inv[which], r)[:, :, 0]
-        slopes = np.diff(u[:, m : last + 1], axis=1) / h[blk]
+        u[:, first : last + 1] = np.matmul(chunk[1][q - start][which], r)[:, :, 0]
+        slopes = (u[:, first : last + 1] - u[:, m:last]) / h[blk]
         g[:, m] += slopes[:, 0]  # g_m held -s_m
         np.subtract(slopes[:, 1:], slopes[:, :-1], out=g[:, m + 1 : last])
         np.subtract(0.0, slopes[:, -1], out=g[:, last])  # -s_last, until the next block

@@ -293,8 +293,7 @@ def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
     w = p[:, :-1] - p[:, 1:]
     w *= psi[:, None]
     w -= np.subtract(q[:, :-1], q[:, 1:], out=p[:, :-1])  # p is spent
-    w /= gamma[:, None]
-    return w
+    return np.divide(w, gamma[:, None], out=w)
 
 
 def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:

@@ -284,9 +284,9 @@ def test_step_tables_read_only_for_their_inputs():
     (47, 2.5, (0.0, 0.4), [1.0, 1e3, 1e6]),
 ])
 def test_block_inverses_bitwise_per_eigenvalue(M, r, coeffs, lam):
-    # the in-block inverses are accurate against forward substitution, and
-    # each is bitwise the one it gets alone: as the only eigenvalue of its
-    # chunk and as the only block
+    # the in-block inverses agree with forward substitution (measured 1.2e-15
+    # of max|inv| at worst), and each is bitwise the one it gets alone: as
+    # the only eigenvalue of its chunk and as the only block
     mesh = TimeMesh(1.0, M, r)
     a = OrderFunction(coeffs, 0.95, 1.0)(mesh.nodes)
     k_gam = 1.0 / np.fromiter(map(math.gamma, 2.0 - a[1:]), float, M)
@@ -366,7 +366,7 @@ class TestExactReference:
     def test_second_derivative_blow_up_constant(self, a):
         # t^a u''(t) -> k lam u0 / Gamma(1 - a) as t -> 0: measured offsets
         # 3.3e-4, 2.0e-12 and 8.2e-3 at t = 1e-12, where Talbot and de Hoog
-        # agree to 2.4e-9 at worst
+        # agree to 5.2e-10 at worst (a = 0.3, mpmath 1.3.0)
         t = 1e-12
         talbot = exact_mode(a, 1.0, 1.0, 1.0, t, derivative=2)
         assert t**a * talbot * math.gamma(1.0 - a) == pytest.approx(1.0, rel=2e-2)
