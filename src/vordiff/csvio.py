@@ -99,10 +99,9 @@ def write_observations_csv(path, obs: ObservationSet):
         ("seed", obs.seed),
         ("noise_level", fmt(obs.noise_level)),
     ]
-    for name in ("synthesis", "inversion"):  # the (M, r) of obs.<name>_mesh
-        mesh = getattr(obs, f"{name}_mesh")
-        if mesh is not None:
-            comments += [(f"{name}_M", mesh[0]), (f"{name}_r", fmt(mesh[1]))]
+    if obs.synthesis_mesh is not None:
+        M, r = obs.synthesis_mesh
+        comments += [("synthesis_M", M), ("synthesis_r", fmt(r))]
     xs, ts = [fmt(x) for x in obs.x_points], [fmt(t) for t in obs.t_points]
     rows = [f"{xv},{tv},{u!r}" for xv, col in zip(xs, obs.values.tolist())
             for tv, u in zip(ts, col)]
@@ -121,8 +120,8 @@ def _comment(comments, key, parse, kind):
 
 def read_observations_csv(path) -> ObservationSet:
     """Rows may come in any order; x and t points are returned sorted.
-    A missing or malformed window, seed, noise_level, <name>_M, or
-    <name>_r beside a <name>_M comment raises DomainError naming it."""
+    A missing or malformed window, seed, noise_level, or synthesis_M or
+    synthesis_r beside the other, raises DomainError naming it."""
     data, comments = _read_table(path)
     xs, xi = np.unique(data[:, 0], return_inverse=True)
     ts, ti = np.unique(data[:, 1], return_inverse=True)
@@ -134,9 +133,10 @@ def read_observations_csv(path) -> ObservationSet:
     window = _comment(comments, "window", lambda v: tuple(map(float, v.split(","))), "numbers a,b")
     if len(window) != 2:
         raise DomainError(f"comment '# window = ...' needs two values a,b, got {len(window)}")
-    meshes = {f"{name}_mesh": (_comment(comments, f"{name}_M", int, "an integer"),
-                               _comment(comments, f"{name}_r", float, "a number"))
-              for name in ("synthesis", "inversion") if f"{name}_M" in comments}
+    synthesis = None
+    if comments.keys() & {"synthesis_M", "synthesis_r"}:
+        synthesis = (_comment(comments, "synthesis_M", int, "an integer"),
+                     _comment(comments, "synthesis_r", float, "a number"))
     return ObservationSet(
         window=window,
         x_points=xs,
@@ -144,7 +144,7 @@ def read_observations_csv(path) -> ObservationSet:
         values=values,
         noise_level=_comment(comments, "noise_level", float, "a number"),
         seed=_comment(comments, "seed", int, "an integer"),
-        **meshes,
+        synthesis_mesh=synthesis,
     )
 
 

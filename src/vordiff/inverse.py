@@ -34,9 +34,9 @@ STEP_HALVINGS = 20
 class ObservationSet:
     """Samples u(x_j, t_m) on a spatial window (a, b), optionally noisy.
 
-    values has shape (len(x_points), len(t_points)).  synthesis_mesh and
-    inversion_mesh record (M, r) of the generating and target meshes when
-    known; they drive the inverse-crime flag.
+    values has shape (len(x_points), len(t_points)).  synthesis_mesh
+    records (M, r) of the mesh that generated the data, when known, and is
+    checked by TimeMesh's rules without building it; see recover_order.
     """
 
     window: tuple
@@ -46,7 +46,6 @@ class ObservationSet:
     noise_level: float
     seed: int
     synthesis_mesh: tuple | None = None
-    inversion_mesh: tuple | None = None
 
     def __post_init__(self):
         self.window = (float(self.window[0]), float(self.window[1]))
@@ -63,12 +62,19 @@ class ObservationSet:
         if not (self.x_points.min() > a and self.x_points.max() < b):
             raise DomainError("x points must lie strictly inside the window")
         if self.values.shape != (self.x_points.size, self.t_points.size):
-            raise DomainError(
-                f"values shape {self.values.shape} inconsistent with "
-                f"{self.x_points.size} x points and {self.t_points.size} t points"
-            )
+            raise DomainError(f"values shape {self.values.shape} inconsistent with "
+                              f"{self.x_points.size} x points and {self.t_points.size} t points")
         if not 0.0 <= self.noise_level < np.inf:
             raise DomainError(f"noise level must be finite and >= 0, got {self.noise_level}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if self.synthesis_mesh is not None:
+            M, r = self.synthesis_mesh
+            if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
+                raise DomainError(f"synthesis mesh M must be an integer >= 1, got {M!r}")
+            if not (r >= 1.0 and np.isfinite(r)):
+                raise DomainError(f"synthesis mesh r must be finite and >= 1, got {r}")
+            self.synthesis_mesh = (int(M), float(r))
 
 
 @dataclass
@@ -165,9 +171,7 @@ def synthesize_observations(
     if not 0.0 <= a < b <= spec.L:
         raise DomainError(f"window ({a}, {b}) must lie inside [0, {spec.L}]")
     if not 0.0 <= noise_level <= MAX_NOISE_LEVEL:
-        raise DomainError(
-            f"noise level {noise_level} outside [0, {MAX_NOISE_LEVEL}]"
-        )
+        raise DomainError(f"noise level {noise_level} outside [0, {MAX_NOISE_LEVEL}]")
     if x_count < 1 or t_count < 1 or refine < 1:
         raise DomainError("x_count, t_count and refine must be >= 1")
     if spec.alpha is None:
@@ -185,16 +189,8 @@ def synthesize_observations(
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
         values = values * (1.0 + noise_level * rng.standard_normal(values.shape))
-    return ObservationSet(
-        window=(a, b),
-        x_points=x_points,
-        t_points=t_points,
-        values=values,
-        noise_level=noise_level,
-        seed=seed,
-        synthesis_mesh=(refine * t_count, grading),
-        inversion_mesh=(t_count, grading),
-    )
+    return ObservationSet((a, b), x_points, t_points, values, noise_level, seed,
+                          synthesis_mesh=(refine * t_count, grading))
 
 
 def extract_modes(obs: ObservationSet, basis: SpectralBasis, n_modes: int) -> ModeExtraction:
@@ -223,7 +219,8 @@ def extract_modes(obs: ObservationSet, basis: SpectralBasis, n_modes: int) -> Mo
 
 
 def check_observations(obs: ObservationSet, model: ModelSpec):
-    """Reject observations off the model: times outside (0, T], a window outside [0, L]."""
+    """Reject observations off the model: times outside (0, T], a window outside
+    [0, L].  ObservationSet checks what holds for the observations alone."""
     if not np.all((obs.t_points > 0.0) & (obs.t_points <= model.T)):
         raise DomainError(f"observation times must lie in (0, model.T = {model.T}]")
     if not (0.0 <= obs.window[0] and obs.window[1] <= model.L):
@@ -319,15 +316,15 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     of the step failed to decrease |r|^2).
     Requires a nonzero initial datum and k(0) != 0, without which the data
     does not determine the order.
+    inverse_crime is None without a recorded synthesis mesh, else true
+    exactly when that mesh is the inversion's, [0, *t_points].
     """
     if model.k_at(0.0) == 0.0:
         raise DomainError("order recovery requires k(0) != 0")
     inv = _Inversion(obs, model, config)
     if float(np.abs(inv.u0).max()) <= 1e-12:
-        raise DomainError(
-            "order recovery requires a nonzero initial datum "
-            "(no mode coefficient above threshold)"
-        )
+        raise DomainError("order recovery requires a nonzero initial datum "
+                          "(no mode coefficient above threshold)")
     c = np.zeros(config.degree + 1)
     c[: np.size(config.init_coeffs)] = config.init_coeffs
     c = project_admissible(c, model.T, config.alpha_star)
@@ -362,8 +359,10 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
             stop_reason = "tolerance"
             break
     crime = None
-    if obs.synthesis_mesh is not None and obs.inversion_mesh is not None:
-        crime = tuple(obs.synthesis_mesh) == tuple(obs.inversion_mesh)
+    if obs.synthesis_mesh is not None:
+        M, r = obs.synthesis_mesh
+        crime = M == obs.t_points.size and np.array_equal(
+            TimeMesh(model.T, M, r).nodes[1:], obs.t_points)
     return InversionResult(
         coeffs=tuple(float(v) for v in c),
         residual_history=history,

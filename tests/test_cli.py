@@ -236,6 +236,25 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert str(obs) in err and "comment '# seed = x' is not an integer" in err
 
+    def test_out_of_range_observation_comment_exit_2(self, tmp_path, capsys):
+        cfg, head, rows = self._synth(tmp_path)
+        obs = tmp_path / "broken.csv"
+        head = ["# synthesis_M = -5" if ln.startswith("# synthesis_M ") else ln for ln in head]
+        obs.write_text("\n".join(head + rows) + "\n")
+        assert main(["invert", "--config", cfg, "--obs", str(obs),
+                     "--out", str(tmp_path / "inv")]) == 2
+        err = capsys.readouterr().err
+        assert str(obs) in err and "synthesis mesh M" in err and "Traceback" not in err
+
+    def test_no_synthesis_mesh_no_crime_verdict(self, tmp_path):
+        cfg, head, rows = self._synth(tmp_path)
+        obs = tmp_path / "plain.csv"
+        obs.write_text("\n".join([ln for ln in head if not ln.startswith("# synthesis_")] + rows) + "\n")
+        assert main(["invert", "--config", cfg, "--obs", str(obs),
+                     "--out", str(tmp_path / "inv")]) == 0
+        lines = (tmp_path / "inv" / "inversion.csv").read_text().splitlines()
+        assert "# inverse_crime = none" in lines
+
     def test_shuffled_observations_invert_identically(self, tmp_path):
         cfg, head, rows = self._synth(tmp_path)
         order = np.random.default_rng(5).permutation(len(rows))

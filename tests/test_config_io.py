@@ -245,7 +245,7 @@ def _pinned_observations(meshes):
     return ObservationSet(
         window=(0.5, 2.5), x_points=[1.0, 2.0], t_points=[0.25, 1.0],
         values=[[0.1, 1 / 3], [-2.5e-17, 4.0]], noise_level=0.001, seed=7,
-        **({"synthesis_mesh": (64, 2.0), "inversion_mesh": (16, 1 / 0.7)} if meshes else {}),
+        synthesis_mesh=(64, 2.0) if meshes else None,
     )
 
 
@@ -269,7 +269,6 @@ PINNED_BYTES = {
     "observations_meshes": (
         "# window = 0.5,2.5\n# seed = 7\n# noise_level = 0.001\n"
         "# synthesis_M = 64\n# synthesis_r = 2.0\n"
-        "# inversion_M = 16\n# inversion_r = 1.4285714285714286\n"
         "x,t,value\n1.0,0.25,0.1\n1.0,1.0,0.3333333333333333\n2.0,0.25,-2.5e-17\n2.0,1.0,4.0\n"
     ),
     "observations_plain": (
@@ -354,7 +353,6 @@ class TestCsvRoundTrips:
         assert back.window == obs.window
         assert back.seed == obs.seed and back.noise_level == obs.noise_level
         assert back.synthesis_mesh == obs.synthesis_mesh
-        assert back.inversion_mesh == obs.inversion_mesh
 
     def _observation_lines(self, tmp_path):
         csvio.write_observations_csv(tmp_path / "observations.csv", _small_observations())
@@ -406,6 +404,24 @@ class TestCsvRoundTrips:
         path = tmp_path / "broken.csv"
         path.write_text("\n".join(head + rows) + "\n")
         with pytest.raises(DomainError, match=re.escape(f"comment '# {key} = {value}' is not {kind}")):
+            csvio.read_observations_csv(path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("synthesis_M", "-5", "synthesis mesh M must be an integer >= 1, got -5"),
+        ("synthesis_M", "0", "synthesis mesh M must be an integer >= 1, got 0"),
+        ("synthesis_r", "nan", "synthesis mesh r must be finite and >= 1, got nan"),
+        ("synthesis_r", "-2", "synthesis mesh r must be finite and >= 1, got -2.0"),
+        ("seed", "-1", "seed must be >= 0, got -1"),
+        ("synthesis_M", None, "missing comment '# synthesis_M = ...'"),
+    ], ids=["M_negative", "M_zero", "r_nan", "r_negative", "seed_negative", "lone_r"])
+    def test_observations_out_of_range_comment_named(self, tmp_path, key, value, match):
+        # value None drops the comment, leaving a lone '# synthesis_r'
+        head, rows = self._observation_lines(tmp_path)
+        at = next(i for i, ln in enumerate(head) if ln.startswith(f"# {key} "))
+        head[at : at + 1] = [] if value is None else [f"# {key} = {value}"]
+        path = tmp_path / "broken.csv"
+        path.write_text("\n".join(head + rows) + "\n")
+        with pytest.raises(DomainError, match=re.escape(match)):
             csvio.read_observations_csv(path)
 
     @pytest.mark.parametrize("edit", OBSERVATION_EDITS)

@@ -14,6 +14,7 @@ from vordiff import (
     ScanResult,
     SpectralBasis,
     TimeMesh,
+    csvio,
     extract_modes,
     jacobian,
     recover_order,
@@ -35,11 +36,11 @@ def template(u0=PARABOLA, k=(1.0,), T=1.0):
 
 
 def twin_observations(truth_coeffs, t_count=128, noise=0.0, seed=1, refine=4,
-                      u0=PARABOLA, T=1.0, n_modes=8):
+                      u0=PARABOLA, T=1.0, n_modes=8, x_count=16):
     model = template(u0=u0, T=T)
     truth = OrderFunction(truth_coeffs, 0.95, T)
     return synthesize_observations(
-        model.with_alpha(truth), WINDOW, 16, t_count, noise, seed,
+        model.with_alpha(truth), WINDOW, x_count, t_count, noise, seed,
         refine=refine, n_modes=n_modes,
     )
 
@@ -328,6 +329,68 @@ class TestRecoverOrder:
         ):
             with pytest.raises(DomainError, match=match):
                 run()
+
+
+class TestInverseCrime:
+    """The flag is true exactly when the data came from the mesh that the
+    inversion steps on, the observation times plus t = 0."""
+
+    CFG = InversionConfig(degree=0, max_iter=1, n_modes=8, init_coeffs=(0.5,))
+
+    def flag(self, obs):
+        return recover_order(obs, template(), self.CFG).inverse_crime
+
+    @pytest.mark.parametrize("refine", [2, 4])  # refine 1: test_inverse_crime_flagged
+    def test_finer_synthesis_is_no_crime(self, refine):
+        assert self.flag(twin_observations((0.5,), t_count=64, refine=refine)) is False
+
+    def test_thinned_times_are_off_the_data_mesh(self):
+        obs = twin_observations((0.5,), t_count=64, refine=1)
+        thin = dataclasses.replace(obs, t_points=obs.t_points[1::2], values=obs.values[:, 1::2])
+        assert self.flag(thin) is False
+
+    def test_other_grading_is_not_the_data_mesh(self):
+        obs = twin_observations((0.5,), t_count=64, refine=1)
+        M, r = obs.synthesis_mesh
+        assert self.flag(dataclasses.replace(obs, synthesis_mesh=(M, r + 0.5))) is False
+
+    def test_unknown_synthesis_mesh(self):
+        obs = twin_observations((0.5,), t_count=64, refine=1)
+        assert self.flag(dataclasses.replace(obs, synthesis_mesh=None)) is None
+
+    def test_inversion_mesh_comments_ignored(self, tmp_path):
+        # files written before the inversion mesh was dropped still carry it
+        obs = twin_observations((0.3, 0.2), t_count=64)
+        path, old = tmp_path / "observations.csv", tmp_path / "old.csv"
+        csvio.write_observations_csv(path, obs)
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        extra = ["# inversion_M = 64", f"# inversion_r = {obs.synthesis_mesh[1]!r}"]
+        old.write_text("\n".join(lines[:at] + extra + lines[at:]) + "\n")
+        cfg = InversionConfig(degree=1, n_modes=8, init_coeffs=(0.5, 0.0))
+        res = recover_order(csvio.read_observations_csv(path), template(), cfg)
+        assert recover_order(csvio.read_observations_csv(old), template(), cfg) == res
+
+
+class TestOnePointData:
+    """One interior x point, x = L/2, and 256 times still determine the order."""
+
+    def test_linear_truth_recovered(self):
+        obs = twin_observations((0.3, 0.2), t_count=256, n_modes=16, x_count=1)
+        assert obs.x_points == pytest.approx([L / 2])
+        cfg = InversionConfig(degree=1, n_modes=16, init_coeffs=(0.5, 0.0))
+        res = recover_order(obs, template(), cfg)
+        assert res.stop_reason == "tolerance"
+        assert np.abs(np.subtract(res.coeffs, (0.3, 0.2))).max() <= 1.5e-2
+
+    def test_scan_has_a_strict_minimum_at_the_truth(self):
+        obs = twin_observations((0.5,), t_count=256, n_modes=16, x_count=1)
+        grid = [(c,) for c in np.linspace(0.10, 0.90, 17)]
+        scan = uniqueness_scan(obs, template(), grid, InversionConfig(n_modes=16))
+        assert scan.candidates[scan.best_index][0] == pytest.approx(0.5, abs=1e-12)
+        ranked = np.sort(scan.misfits)
+        assert ranked[0] < ranked[1]
+        assert ranked[1] >= 5.0 * ranked[0]
 
 
 class TestStopReason:
