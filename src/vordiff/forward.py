@@ -15,10 +15,11 @@ the new node.  step_modes advances all modes together, STEP_BLOCK nodes
 at a time: each block builds its rows of kernel values at once and sums
 them by parts against every mode's slope differences from before it; the
 block's own lower-triangular system is applied through its inverses, built
-by recursive doubling once per distinct eigenvalue for a chunk of blocks
-at a time.  The node scalars and step coefficients are computed and
-checked once per pass.  Cost is O(M^2) for the kernel values plus O(M^2)
-per mode for the history sums, in M / STEP_BLOCK Python iterations.
+by recursive doubling once per eigenvalue for a chunk of blocks at a time
+and broadcast over any stacked right-hand sides.  The node scalars and
+step coefficients are computed and checked once per pass.  Cost is O(M^2)
+for the kernel values plus O(M^2) per right-hand side for the history
+sums, in M / STEP_BLOCK Python iterations.
 """
 
 from __future__ import annotations
@@ -154,9 +155,10 @@ def _block_tables(mesh: TimeMesh, a, k_gam, lam, first: int, count: int, b: int)
 def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.ndarray:
     """Step u_i' + k(t) D^{alpha(t)} u_i = -lam_i u_i + f_i(t) for all modes.
 
-    a and k hold alpha(t_n) and k(t_n) at every node, as (M+1,) arrays;
-    lam and u0 hold one eigenvalue and start value per mode; forcing, if
-    given, holds f_i(t_n) as an (N, M+1) array whose column 0 is not used.
+    a and k hold alpha(t_n) and k(t_n) at every node, as (M+1,) arrays, and
+    lam one eigenvalue per mode, (N,).  u0 holds start values, (..., N), and
+    forcing, if given, f_i(t_n), (..., N, M+1) with column 0 unused; leading
+    axes stack right-hand sides on the same lam (the Jacobian's columns).
     At node t_n each mode satisfies one linear equation
 
         u_n (d_n + lam) = u_{n-1} d_n - H_n + f_n,   d_n = 1/h_n + k_n w_n,
@@ -170,33 +172,33 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     once per pass and checked before any row or table is built.  For
     k >= 0, lam > 0 they are strictly positive, making the scheme
     unconditionally stable; otherwise the first failing node, and the first
-    failing mode there, is reported.  Returns u_i(t_n) as an (N, M+1) array.
+    failing mode there, is reported.  Returns u_i(t_n) as (..., N, M+1).
 
     The nodes are stepped STEP_BLOCK at a time.  Per block, the history over
     the m slopes from before it is summed by parts,
     sum_{j=1..m} (p_{j-1} - p_j) s_j = sum_{j=0..m} p_j g_j with
     g_j = s_{j+1} - s_j (s_0 = 0) for j < m and g_m = -s_m: one
-    matrix-vector product per mode on the block's kernel values
+    matrix-vector product per right-hand side on the block's kernel values
     (fracops._kernel_values, in one work buffer).  The identity is exact in
     real arithmetic, so only rounding differs from the increment form, and
     needs no a_n = 0 case: p_j is then t_n - t_j, whose differences are the
     steps h_j.  The block's own equations form the lower-triangular system
     (T0 + lam_i I) u = r_i with T0 independent of the mode; its inverses,
-    one per distinct eigenvalue, come by recursive doubling from
-    _block_tables for a chunk of CHUNK_INVERSES // (distinct eigenvalues)
-    blocks at a time, are gathered into mode order only when lam is not
-    strictly ascending, and are dropped once stepped.  A dict given as
-    tables keeps every chunk's tables instead: an empty one is filled, a
-    filled one (same mesh, a, k and distinct eigenvalues) is read and
-    nothing is built.  A mode's arithmetic never mixes with another's, so
-    its trajectory is bitwise the same whichever other modes share the call.
+    one per entry of lam, come by recursive doubling from _block_tables for
+    a chunk of CHUNK_INVERSES // N blocks at a time, are applied to every
+    right-hand side by one broadcast matmul, and are dropped once stepped.
+    A dict given as tables keeps every chunk's tables instead: an empty one
+    is filled, a filled one (same mesh, a, k and lam) is read and nothing
+    is built.  A right-hand side's arithmetic never mixes with another's,
+    so its trajectory is bitwise the same whichever others share the call.
     """
     a, k = np.asarray(a, dtype=float), np.asarray(k, dtype=float)
     lam, u0 = np.asarray(lam, dtype=float), np.asarray(u0, dtype=float)
     forcing = None if forcing is None else np.asarray(forcing, dtype=float)
     M, N = mesh.M, lam.size
     for name, value, shape in (("a", a, (M + 1,)), ("k", k, (M + 1,)), ("lam", lam, (N,)),
-                               ("u0", u0, (N,)), ("forcing", forcing, (N, M + 1))):
+                               ("u0", u0, (*u0.shape[:-1], N)),
+                               ("forcing", forcing, (*u0.shape, M + 1))):
         if value is not None and value.shape != shape:
             raise DomainError(f"{name} has shape {value.shape}, expected {shape}")
     _check_orders(a)
@@ -215,19 +217,17 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
             f"(t = {mesh.nodes[n + 1]:.6g}, k = {k_n[n]:.6g}, lam = {lam[i]:.6g}, "
             f"alpha = {a_n[n]:.6g}); the scheme requires k >= 0 and lam > 0"
         )
-    distinct, which = np.unique(lam, return_inverse=True)
-    which = slice(None) if np.array_equal(distinct, lam) else which  # gather to reorder or repeat
-    inputs = (mesh.nodes, a, k, distinct)
+    inputs = (mesh.nodes, a, k, lam)
     built = inputs if tables is None else tables.setdefault("inputs", tuple(map(np.copy, inputs)))
     if not all(map(np.array_equal, built, inputs)):
         raise DomainError("step tables were built for another mesh, order, k or eigenvalues")
-    u = np.empty((N, M + 1))
-    u[:, 0] = u0
+    u = np.empty((*u0.shape, M + 1))
+    u[..., 0] = u0
     B = min(STEP_BLOCK, M)
     p = np.empty((B, M))  # one block's kernel rows
-    g = np.zeros((N, M + 1))  # g_0..g_m of the sum by parts, g_m = -s_m
-    hist, rhs = np.empty((N, B, 1)), np.empty((N, B, 1))
-    per_chunk = max(1, CHUNK_INVERSES // distinct.size)
+    g = np.zeros(u.shape)  # g_0..g_m of the sum by parts, g_m = -s_m
+    hist, rhs = np.empty((*u0.shape, B, 1)), np.empty((*u0.shape, B, 1))
+    per_chunk = max(1, CHUNK_INVERSES // N)
     done = 0  # blocks covered by the current chunk's tables
     for q, first in enumerate(range(1, M + 1, B)):
         last = min(first + B - 1, M)
@@ -237,22 +237,22 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
             start, done = q, q + (min(per_chunk, M // B - q) or 1)
             chunk = None if tables is None else tables.get(first)  # drops the last chunk
             if chunk is None:
-                chunk = _block_tables(mesh, a, k_gam, distinct, first, done - start, b)
+                chunk = _block_tables(mesh, a, k_gam, lam, first, done - start, b)
                 if tables is not None:
                     tables[first] = chunk
         rows = np.subtract(t[first : last + 1, None], t[: m + 1], out=p[:b, : m + 1])
         # history before the block: numpy runs a stacked matmul as one gemv
-        # per mode, so no mode's sum depends on the others (a GEMM's would)
-        np.matmul(_kernel_values(rows, a[first : last + 1]), g[:, : m + 1, None], out=hist[:, :b])
-        r = np.multiply(chunk[0][q - start], u[:, m, None, None], out=rhs[:, :b])
-        r -= np.multiply(k_gam[blk, None], hist[:, :b], out=hist[:, :b])
+        # per right-hand side, so no sum depends on the others (a GEMM's would)
+        np.matmul(_kernel_values(rows, a_n[blk]), g[..., : m + 1, None], out=hist[..., :b, :])
+        r = np.multiply(chunk[0][q - start], u[..., m, None, None], out=rhs[..., :b, :])
+        r -= np.multiply(k_gam[blk, None], hist[..., :b, :], out=hist[..., :b, :])
         if forcing is not None:
-            r += forcing[:, first : last + 1, None]
-        u[:, first : last + 1] = np.matmul(chunk[1][q - start][which], r)[:, :, 0]
-        slopes = (u[:, first : last + 1] - u[:, m:last]) / h[blk]
-        g[:, m] += slopes[:, 0]  # g_m held -s_m
-        np.subtract(slopes[:, 1:], slopes[:, :-1], out=g[:, m + 1 : last])
-        np.subtract(0.0, slopes[:, -1], out=g[:, last])  # -s_last, until the next block
+            r += forcing[..., first : last + 1, None]
+        u[..., first : last + 1] = np.matmul(chunk[1][q - start], r)[..., 0]
+        slopes = (u[..., first : last + 1] - u[..., m:last]) / h[blk]
+        g[..., m] += slopes[..., 0]  # g_m held -s_m
+        np.subtract(slopes[..., 1:], slopes[..., :-1], out=g[..., m + 1 : last])
+        np.subtract(0.0, slopes[..., -1], out=g[..., last])  # -s_last, until the next block
     if not np.all(np.isfinite(u)):
         raise NumericalError("trajectory contains non-finite values")
     return u

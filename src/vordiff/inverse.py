@@ -264,13 +264,10 @@ class _Inversion:
         slope = np.diff(u, axis=1) / mesh.spacing
         sens = order_sensitivities(mesh, a, slope)
         t_pow = mesh.nodes ** np.arange(n_coeffs)[:, None]
-        forcing = -(self.k * t_pow)[:, None, :] * sens
-        lam = np.tile(self.lam, n_coeffs)
-        v = step_modes(mesh, a, self.k, lam, np.zeros(lam.size), forcing.reshape(lam.size, -1),
-                       tables=tables)
-        v = v.reshape(n_coeffs, self.lam.size, -1)
+        forcing = -(self.k * t_pow)[:, None, :] * sens  # (coefficient, mode, node)
+        v = step_modes(mesh, a, self.k, self.lam, np.zeros(forcing.shape[:-1]), forcing, tables)
         # residual rows are x-major: row (j, m) = j * n_t + m
-        return np.einsum("ji,qim->jmq", self.phi, v[:, :, 1:]).reshape(-1, n_coeffs)
+        return np.einsum("ji,qim->jmq", self.phi, v[..., 1:]).reshape(-1, n_coeffs)
 
 
 def residual(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: InversionConfig):
@@ -291,7 +288,7 @@ def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
     recurrence of u_i itself with v_0 = 0 and the forcing -k_n t_n^q S_n,
     where S_n is the exact order-derivative of the discrete Caputo value of
     u_i, the a-derivative of its L1 increment rows (order_sensitivities).
-    All (coefficient, mode) pairs are stepped in one step_modes call.
+    The coefficient columns are stacked right-hand sides of one step_modes call.
     """
     inv = _Inversion(obs, model, config)
     return inv.jacobian(len(alpha_coeffs), *inv.solve(alpha_coeffs))
@@ -310,8 +307,8 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     projected into the admissible bounds with project_admissible, the
     exact check that OrderFunction applies.
     Each trial step is solved once; the Jacobian at the accepted iterate
-    reuses that trajectory and its step tables, whose eigenvalues the
-    tangent pass repeats.  stop_reason records why the loop ended:
+    reuses that trajectory and its step tables, on which the tangent pass
+    steps every coefficient column.  stop_reason records why the loop ended:
     "tolerance" (converged), "max_iter", or "no_descent" (every halving
     of the step failed to decrease |r|^2).
     Requires a nonzero initial datum and k(0) != 0, without which the data

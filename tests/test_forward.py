@@ -261,19 +261,22 @@ def test_step_modes_batch_bitwise(M):
             assert np.array_equal(solo[0], batch[i])
 
 
-def test_step_tables_read_only_for_their_inputs():
+def test_step_tables_read_only_for_their_inputs(monkeypatch):
     mesh = TimeMesh(1.0, 40, 1.0)
     base = dict(mesh=mesh, a=np.full(41, 0.5), k=np.ones(41), lam=[1.0, 4.0])
     tables = {}
     first = step_modes(base["mesh"], base["a"], base["k"], base["lam"], [1.0, 0.5], tables=tables)
     for change in (dict(mesh=TimeMesh(1.0, 40, 2.0)), dict(a=np.full(41, 0.4)),
-                   dict(k=np.full(41, 2.0)), dict(lam=[1.0, 9.0])):
+                   dict(k=np.full(41, 2.0)), dict(lam=[1.0, 9.0]), dict(lam=[4.0, 1.0])):
         args = {**base, **change}
         with pytest.raises(DomainError, match="step tables"):
             step_modes(args["mesh"], args["a"], args["k"], args["lam"], [1.0, 0.5], tables=tables)
-    # the same eigenvalues in another order, one repeated, read the tables
-    again = step_modes(mesh, base["a"], base["k"], [4.0, 1.0, 4.0], [0.5, 1.0, 0.0], tables=tables)
-    assert np.array_equal(again[:2], first[::-1])
+    # stacked right-hand sides on the same eigenvalues read the tables
+    built = []
+    monkeypatch.setattr(vordiff.forward, "_block_tables", lambda *args: built.append(args))
+    again = step_modes(mesh, base["a"], base["k"], base["lam"], [[0.0, 0.0], [1.0, 0.5]],
+                       tables=tables)
+    assert built == [] and np.array_equal(again[1], first) and not again[0].any()
 
 
 @pytest.mark.parametrize("M, r, coeffs, lam", [
