@@ -174,6 +174,8 @@ def synthesize_observations(
         raise DomainError(f"noise level {noise_level} outside [0, {MAX_NOISE_LEVEL}]")
     if x_count < 1 or t_count < 1 or refine < 1:
         raise DomainError("x_count, t_count and refine must be >= 1")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if spec.alpha is None:
         raise DomainError("synthesis needs the true order on the model")
     if grading is None:

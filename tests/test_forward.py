@@ -261,6 +261,27 @@ def test_step_modes_batch_bitwise(M):
             assert np.array_equal(solo[0], batch[i])
 
 
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("kept", [False, True])
+def test_step_modes_stacked_rhs_bitwise(kept, forced):
+    # right-hand sides stacked on a leading axis, as the Jacobian's
+    # coefficient columns are, each step bitwise as they do alone; M = 33
+    # ends on a one-node block
+    mesh = TimeMesh(1.0, 33, 2.5)
+    a = OrderFunction((0.3, 0.2), 0.95, 1.0)(mesh.nodes)
+    k = 1.0 + 0.5 * mesh.nodes
+    lam = np.array([1.0, 4.0, 9.0, 25.0])
+    u0 = np.array([[1.0, -0.5, 0.25, 0.1], [0.0, 0.0, 0.0, 0.0], [2.0, 1.0, -1.0, 0.5]])
+    forcing = np.cos(np.arange(1.0, 4.0)[:, None, None] * np.outer(lam, mesh.nodes))
+    forcing = forcing if forced else None
+    tables = {} if kept else None
+    stacked = step_modes(mesh, a, k, lam, u0, forcing, tables)
+    assert stacked.shape == (3, 4, 34)
+    for i in range(3):
+        row = step_modes(mesh, a, k, lam, u0[i], None if forcing is None else forcing[i], tables)
+        assert np.array_equal(row, stacked[i])
+
+
 def test_step_tables_read_only_for_their_inputs(monkeypatch):
     mesh = TimeMesh(1.0, 40, 1.0)
     base = dict(mesh=mesh, a=np.full(41, 0.5), k=np.ones(41), lam=[1.0, 4.0])
