@@ -21,6 +21,10 @@ from .spectral import sobolev_norm
 SMOOTH_SLOPE_THRESHOLD = 0.1
 MIN_FIT_SAMPLES = 8
 MIN_MESH_M = 64  # mesh intervals needed to difference a field twice
+# a difference is kept where its gamma-norm is at least this many times the
+# bound on its rounding, so rounding is at most 1% of what is kept
+ROUNDING_MARGIN = 100.0
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -43,10 +47,13 @@ def second_derivative_norms(field: SolutionField, gamma: float):
     """Per interior node, |d^2 u/dt^2 (., t_n)|_gamma from second differences.
 
     The three-point divided differences allow non-uniform nodes; their
-    gamma-norms come from one sobolev_norm call.  Returns the arrays
-    (t, norms), both of shape (M-1,), for nodes n = 1..M-1.  The field
-    should come from a graded mesh when the behavior near t = 0 is of
-    interest, and needs M >= MIN_MESH_M.
+    gamma-norms come from one sobolev_norm call.  A node is kept where its
+    norm is at least ROUNDING_MARGIN times 4 eps max_t |u|_gamma / (h1 h2),
+    the bound on the rounding of its difference: on strongly graded meshes
+    the first steps are so short that their differences are rounding.
+    Returns the arrays (t, norms) of the kept nodes among n = 1..M-1 (all
+    of them for a zero field).  The field should come from a graded mesh
+    when the behavior near t = 0 is of interest, and needs M >= MIN_MESH_M.
     """
     if field.mesh.M < MIN_MESH_M:
         raise DomainError(
@@ -58,7 +65,10 @@ def second_derivative_norms(field: SolutionField, gamma: float):
     dd2 = 2.0 * (
         U[:, :-2] / (h1 * (h1 + h2)) - U[:, 1:-1] / (h1 * h2) + U[:, 2:] / (h2 * (h1 + h2))
     )
-    return t[1:-1], sobolev_norm(field.basis, dd2, gamma)
+    norms = sobolev_norm(field.basis, dd2, gamma)
+    scale = sobolev_norm(field.basis, U, gamma).max()
+    keep = norms >= ROUNDING_MARGIN * 4.0 * EPS * scale / (h1 * h2)
+    return t[1:-1][keep], norms[keep]
 
 
 def fit_window_mask(t, window):
@@ -95,18 +105,22 @@ def weighted_cm_norm(field: SolutionField, mu: float, gamma: float) -> float:
     Finite under mesh refinement exactly when the second derivative blows up
     no faster than t^(mu-1); with mu = 1 - alpha(0) that is the predicted
     initial-time behavior for alpha(0) > 0.  The C^1 part takes the sup of
-    the field's and its first differences' gamma-norms; the second-derivative
-    part is second_derivative_norms.  Only second differences (m = 2) are
+    the field's and its first differences' gamma-norms, each difference kept
+    where its norm is at least ROUNDING_MARGIN times its rounding bound
+    2 eps max_t |u|_gamma / h; the second-derivative part is
+    second_derivative_norms.  Only second differences (m = 2) are
     formed: higher-order differencing of singular data is out of scope.
     """
     if not 0.0 <= mu < 1.0:
         raise DomainError(f"weight exponent mu must lie in [0, 1), got {mu}")
     U = field.values
+    h = field.mesh.spacing
     sup_u = sobolev_norm(field.basis, U, gamma).max()
-    sup_du = sobolev_norm(field.basis, np.diff(U, axis=1) / field.mesh.spacing, gamma).max()
+    du = sobolev_norm(field.basis, np.diff(U, axis=1) / h, gamma)
+    sup_du = du[du >= ROUNDING_MARGIN * 2.0 * EPS * sup_u / h].max(initial=0.0)
     c1_part = max(float(sup_u), float(sup_du))
     t_int, norms2 = second_derivative_norms(field, gamma)
-    weighted = float((t_int ** (1.0 - mu) * norms2).max())
+    weighted = float((t_int ** (1.0 - mu) * norms2).max(initial=0.0))
     return c1_part + weighted
 
 

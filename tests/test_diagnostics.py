@@ -118,12 +118,7 @@ class TestWeightedNorm:
         ]
         assert abs(vals[1] / vals[0] - 1.0) <= 0.2
 
-    @pytest.mark.parametrize("r, M", [
-        (2.5, 1024), (2.5, 4096),
-        *(pytest.param(4.0, M, marks=pytest.mark.xfail(
-            strict=True, reason="at r = 4 the first steps are so short that the "
-            "differences near t = 0 are rounding (ROADMAP item 5)")) for M in (1024, 4096)),
-    ])
+    @pytest.mark.parametrize("r, M", [(2.5, 1024), (2.5, 4096), (4.0, 1024), (4.0, 4096)])
     def test_exact_value(self, r, M):
         # order 0.5, u0 = x(pi - x): only mode 1, c1 = 4 sqrt(2/pi), is active;
         # the C^1 part is c1 and sup t^0.5 |u1''| is c1 / sqrt(pi), at t -> 0
