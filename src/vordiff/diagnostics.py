@@ -21,10 +21,7 @@ from .spectral import sobolev_norm
 SMOOTH_SLOPE_THRESHOLD = 0.1
 MIN_FIT_SAMPLES = 8
 MIN_MESH_M = 64  # mesh intervals needed to difference a field twice
-# a difference is kept where its gamma-norm is at least this many times the
-# bound on its rounding, so rounding is at most 1% of what is kept
-ROUNDING_MARGIN = 100.0
-EPS = np.finfo(float).eps
+ROUNDING_MARGIN = 100.0  # differences kept: gamma-norm >= this times their rounding bound
 
 
 @dataclass
@@ -47,13 +44,11 @@ def second_derivative_norms(field: SolutionField, gamma: float):
     """Per interior node, |d^2 u/dt^2 (., t_n)|_gamma from second differences.
 
     The three-point divided differences allow non-uniform nodes; their
-    gamma-norms come from one sobolev_norm call.  A node is kept where its
-    norm is at least ROUNDING_MARGIN times 4 eps max_t |u|_gamma / (h1 h2),
-    the bound on the rounding of its difference: on strongly graded meshes
-    the first steps are so short that their differences are rounding.
-    Returns the arrays (t, norms) of the kept nodes among n = 1..M-1 (all
-    of them for a zero field).  The field should come from a graded mesh
-    when the behavior near t = 0 is of interest, and needs M >= MIN_MESH_M.
+    gamma-norms come from one sobolev_norm call.  Returns the arrays
+    (t, norms) of the nodes n = 1..M-1 whose norm is at least ROUNDING_MARGIN
+    times its rounding bound 4 eps max_t |u|_gamma / (h1 h2).  The field
+    should come from a graded mesh when the behavior near t = 0 is of
+    interest, and needs M >= MIN_MESH_M.
     """
     if field.mesh.M < MIN_MESH_M:
         raise DomainError(
@@ -66,8 +61,8 @@ def second_derivative_norms(field: SolutionField, gamma: float):
         U[:, :-2] / (h1 * (h1 + h2)) - U[:, 1:-1] / (h1 * h2) + U[:, 2:] / (h2 * (h1 + h2))
     )
     norms = sobolev_norm(field.basis, dd2, gamma)
-    scale = sobolev_norm(field.basis, U, gamma).max()
-    keep = norms >= ROUNDING_MARGIN * 4.0 * EPS * scale / (h1 * h2)
+    scale = np.finfo(float).eps * sobolev_norm(field.basis, U, gamma).max()
+    keep = norms >= ROUNDING_MARGIN * 4.0 * scale / (h1 * h2)
     return t[1:-1][keep], norms[keep]
 
 
@@ -105,19 +100,16 @@ def weighted_cm_norm(field: SolutionField, mu: float, gamma: float) -> float:
     Finite under mesh refinement exactly when the second derivative blows up
     no faster than t^(mu-1); with mu = 1 - alpha(0) that is the predicted
     initial-time behavior for alpha(0) > 0.  The C^1 part takes the sup of
-    the field's and its first differences' gamma-norms, each difference kept
-    where its norm is at least ROUNDING_MARGIN times its rounding bound
-    2 eps max_t |u|_gamma / h; the second-derivative part is
-    second_derivative_norms.  Only second differences (m = 2) are
-    formed: higher-order differencing of singular data is out of scope.
+    the field's gamma-norms and of its first differences' (those at least
+    ROUNDING_MARGIN times 2 eps max_t |u|_gamma / h); the second-derivative
+    part is second_derivative_norms, and no higher differences are formed.
     """
     if not 0.0 <= mu < 1.0:
         raise DomainError(f"weight exponent mu must lie in [0, 1), got {mu}")
-    U = field.values
-    h = field.mesh.spacing
+    U, h = field.values, field.mesh.spacing
     sup_u = sobolev_norm(field.basis, U, gamma).max()
     du = sobolev_norm(field.basis, np.diff(U, axis=1) / h, gamma)
-    sup_du = du[du >= ROUNDING_MARGIN * 2.0 * EPS * sup_u / h].max(initial=0.0)
+    sup_du = du[du >= ROUNDING_MARGIN * 2.0 * np.finfo(float).eps * sup_u / h].max(initial=0.0)
     c1_part = max(float(sup_u), float(sup_du))
     t_int, norms2 = second_derivative_norms(field, gamma)
     weighted = float((t_int ** (1.0 - mu) * norms2).max(initial=0.0))

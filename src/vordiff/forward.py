@@ -167,12 +167,11 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     history H_n = (k_n / Gamma(2 - a_n)) sum_{j<n} (p_{j-1} - p_j) s_j on
     the slopes s_j = (u_j - u_{j-1}) / h_j, with the raw kernel increments
     of fracops._kernel_increments at order a_n: no row is divided by
-    Gamma(2 - a_n) h_j.  Shapes and orders (in [0, 1)) are checked first;
-    then the node scalars and every coefficient d_n + lam_i are computed
-    once per pass and checked before any row or table is built.  For
-    k >= 0, lam > 0 they are strictly positive, making the scheme
-    unconditionally stable; otherwise the first failing node, and the first
-    failing mode there, is reported.  Returns u_i(t_n) as (..., N, M+1).
+    Gamma(2 - a_n) h_j.  Shapes and orders (in [0, 1)) are checked first,
+    then every coefficient d_n + lam_i, once per pass and before any row or
+    table is built: for k >= 0, lam > 0 they are strictly positive and the
+    scheme is unconditionally stable; otherwise the first failing node, and
+    the first failing mode there, is reported.  Returns (..., N, M+1).
 
     The nodes are stepped STEP_BLOCK at a time.  Per block, the history over
     the m slopes from before it is summed by parts,
@@ -183,14 +182,13 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     real arithmetic, so only rounding differs from the increment form, and
     needs no a_n = 0 case: p_j is then t_n - t_j, whose differences are the
     steps h_j.  The block's own equations form the lower-triangular system
-    (T0 + lam_i I) u = r_i with T0 independent of the mode; its inverses,
-    one per entry of lam, come by recursive doubling from _block_tables for
-    a chunk of CHUNK_INVERSES // N blocks at a time, are applied to every
-    right-hand side by one broadcast matmul, and are dropped once stepped.
-    A dict given as tables keeps every chunk's tables instead: an empty one
-    is filled, a filled one (same mesh, a, k and lam) is read and nothing
-    is built.  A right-hand side's arithmetic never mixes with another's,
-    so its trajectory is bitwise the same whichever others share the call.
+    (T0 + lam_i I) u = r_i with T0 independent of the mode.  Its inverses,
+    one per entry of lam, come from _block_tables CHUNK_INVERSES // N blocks
+    at a time; one broadcast matmul applies them to every right-hand side.
+    Given a dict as tables, every chunk's tables are kept, not dropped once
+    stepped: an empty dict is filled, a filled one (same mesh, a, k and lam)
+    is read.  No right-hand side's arithmetic mixes with another's, so each
+    is bitwise the same whichever others share the call.
     """
     a, k = np.asarray(a, dtype=float), np.asarray(k, dtype=float)
     lam, u0 = np.asarray(lam, dtype=float), np.asarray(u0, dtype=float)
@@ -227,14 +225,13 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     p = np.empty((B, M))  # one block's kernel rows
     g = np.zeros(u.shape)  # g_0..g_m of the sum by parts, g_m = -s_m
     hist, rhs = np.empty((*u0.shape, B, 1)), np.empty((*u0.shape, B, 1))
-    per_chunk = max(1, CHUNK_INVERSES // N)
     done = 0  # blocks covered by the current chunk's tables
     for q, first in enumerate(range(1, M + 1, B)):
         last = min(first + B - 1, M)
         b, m = last - first + 1, first - 1  # block size, slopes before it
         blk = slice(m, last)
         if q == done:  # full blocks in chunks; a short last block alone
-            start, done = q, q + (min(per_chunk, M // B - q) or 1)
+            start, done = q, q + (min(CHUNK_INVERSES // N, M // B - q) or 1)
             chunk = None if tables is None else tables.get(first)  # drops the last chunk
             if chunk is None:
                 chunk = _block_tables(mesh, a, k_gam, lam, first, done - start, b)

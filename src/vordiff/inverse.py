@@ -172,10 +172,8 @@ def synthesize_observations(
         raise DomainError(f"window ({a}, {b}) must lie inside [0, {spec.L}]")
     if not 0.0 <= noise_level <= MAX_NOISE_LEVEL:
         raise DomainError(f"noise level {noise_level} outside [0, {MAX_NOISE_LEVEL}]")
-    if x_count < 1 or t_count < 1 or refine < 1:
-        raise DomainError("x_count, t_count and refine must be >= 1")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    if x_count < 1 or t_count < 1 or refine < 1 or seed < 0:
+        raise DomainError("x_count, t_count and refine must be >= 1, and seed >= 0")
     if spec.alpha is None:
         raise DomainError("synthesis needs the true order on the model")
     if grading is None:
@@ -263,8 +261,7 @@ class _Inversion:
         given that order's trajectory (a, u) from solve and, to build no
         step table, the tables that solve kept."""
         mesh = self.mesh
-        slope = np.diff(u, axis=1) / mesh.spacing
-        sens = order_sensitivities(mesh, a, slope)
+        sens = order_sensitivities(mesh, a, np.diff(u, axis=1) / mesh.spacing)
         t_pow = mesh.nodes ** np.arange(n_coeffs)[:, None]
         forcing = -(self.k * t_pow)[:, None, :] * sens  # (coefficient, mode, node)
         v = step_modes(mesh, a, self.k, self.lam, np.zeros(forcing.shape[:-1]), forcing, tables)
