@@ -244,9 +244,8 @@ def test_step_modes_order_zero_inside_block(M, forced):
 @pytest.mark.parametrize("M", [17, 2048])
 def test_step_modes_batch_bitwise(M):
     # every mode's trajectory is bitwise the one it gets alone, also when
-    # the batch repeats an eigenvalue (as the Jacobian's tangent pass does)
-    # and at M = 2048, where one history product is large enough for BLAS
-    # to split it over threads
+    # the batch repeats an eigenvalue, and at M = 2048, where one history
+    # product is large enough for BLAS to split it over threads
     mesh = TimeMesh(1.0, M, 2.5)
     a = OrderFunction((0.3, 0.2), 0.95, 1.0)(mesh.nodes)
     k = 1.0 + 0.5 * mesh.nodes

@@ -217,7 +217,8 @@ class TestJacobian:
         for q, norm in enumerate(REFERENCE_JACOBIAN_COLUMN_NORMS):
             assert np.linalg.norm(J[:, q]) == pytest.approx(norm, abs=1e-12)
 
-    @pytest.mark.parametrize("point", [(0.45,), (0.45, 0.05), (0.4, 0.1, -0.05)])
+    @pytest.mark.parametrize("point", [(0.45,), (0.45, 0.05), (0.4, 0.1, -0.05)],
+                             ids=["degree0", "degree1", "degree2"])
     def test_matches_finite_differences(self, point):
         # one stacked right-hand side per coefficient: degrees 0, 1 and 2
         obs = twin_observations((0.3, 0.2), t_count=64)
