@@ -306,8 +306,8 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     projected into the admissible bounds with project_admissible, the
     exact check that OrderFunction applies.
     Each trial step is solved once; the Jacobian at the accepted iterate
-    reuses that trajectory and its step tables, on which the tangent pass
-    steps every coefficient column.  stop_reason records why the loop ended:
+    reuses that trajectory and its step tables: the tangent pass steps
+    every coefficient column on them.  stop_reason records why the loop ended:
     "tolerance" (converged), "max_iter", or "no_descent" (every halving
     of the step failed to decrease |r|^2).
     Requires a nonzero initial datum and k(0) != 0, without which the data
