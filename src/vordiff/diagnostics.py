@@ -40,30 +40,36 @@ class RegularityReport:
         return "smooth" if abs(self.fitted_slope) < SMOOTH_SLOPE_THRESHOLD else "singular"
 
 
-def second_derivative_norms(field: SolutionField, gamma: float):
-    """Per interior node, |d^2 u/dt^2 (., t_n)|_gamma from second differences.
+def _difference_norms(field: SolutionField, gamma: float):
+    """(sup_u, du, t, d2u): the one pass over the field that the diagnosis reads.
 
-    The three-point divided differences allow non-uniform nodes; their
-    gamma-norms come from one sobolev_norm call.  Returns the arrays
-    (t, norms) of the nodes n = 1..M-1 whose norm is at least ROUNDING_MARGIN
-    times its rounding bound 4 eps max_t |u|_gamma / (h1 h2).  The field
-    should come from a graded mesh when the behavior near t = 0 is of
-    interest, and needs M >= MIN_MESH_M.
+    sup_u = max_t |u|_gamma; du and d2u are the gamma-norms of the first and the
+    three-point second divided differences (non-uniform nodes allowed), and t the
+    interior nodes of d2u.  A difference is kept where its norm is at least
+    ROUNDING_MARGIN times its rounding bound, 2 eps sup_u / h or 4 eps sup_u / (h1 h2).
+    Needs M >= MIN_MESH_M.
     """
     if field.mesh.M < MIN_MESH_M:
         raise DomainError(
             f"need a mesh with M >= {MIN_MESH_M} to difference twice, got M = {field.mesh.M}"
         )
-    t, U = field.mesh.nodes, field.values
-    h1 = t[1:-1] - t[:-2]
-    h2 = t[2:] - t[1:-1]
+    t, U, h = field.mesh.nodes, field.values, field.mesh.spacing
+    sup_u = sobolev_norm(field.basis, U, gamma).max()
+    floor = ROUNDING_MARGIN * np.finfo(float).eps * sup_u
+    du = sobolev_norm(field.basis, np.diff(U, axis=1) / h, gamma)
+    h1, h2 = h[:-1], h[1:]
     dd2 = 2.0 * (
         U[:, :-2] / (h1 * (h1 + h2)) - U[:, 1:-1] / (h1 * h2) + U[:, 2:] / (h2 * (h1 + h2))
     )
-    norms = sobolev_norm(field.basis, dd2, gamma)
-    scale = np.finfo(float).eps * sobolev_norm(field.basis, U, gamma).max()
-    keep = norms >= ROUNDING_MARGIN * 4.0 * scale / (h1 * h2)
-    return t[1:-1][keep], norms[keep]
+    d2u = sobolev_norm(field.basis, dd2, gamma)
+    keep = d2u >= 4.0 * floor / (h1 * h2)
+    return sup_u, du[du >= 2.0 * floor / h], t[1:-1][keep], d2u[keep]
+
+
+def second_derivative_norms(field: SolutionField, gamma: float):
+    """|d^2 u/dt^2 (., t_n)|_gamma as arrays (t, norms) over the interior nodes that
+    _difference_norms keeps; a graded mesh resolves the behavior near t = 0."""
+    return _difference_norms(field, gamma)[2:]
 
 
 def fit_window_mask(t, window):
@@ -99,21 +105,18 @@ def weighted_cm_norm(field: SolutionField, mu: float, gamma: float) -> float:
 
     Finite under mesh refinement exactly when the second derivative blows up
     no faster than t^(mu-1); with mu = 1 - alpha(0) that is the predicted
-    initial-time behavior for alpha(0) > 0.  The C^1 part takes the sup of
-    the field's gamma-norms and of its first differences' (those at least
-    ROUNDING_MARGIN times 2 eps max_t |u|_gamma / h); the second-derivative
-    part is second_derivative_norms, and no higher differences are formed.
+    initial-time behavior for alpha(0) > 0.  The C^1 part is the sup of the
+    field's gamma-norms and of its kept first differences' (_difference_norms).
     """
+    return _weighted_norm(mu, *_difference_norms(field, gamma))
+
+
+def _weighted_norm(mu, sup_u, du, t, d2u):
+    """weighted_cm_norm from the parts that _difference_norms returns."""
     if not 0.0 <= mu < 1.0:
         raise DomainError(f"weight exponent mu must lie in [0, 1), got {mu}")
-    U, h = field.values, field.mesh.spacing
-    sup_u = sobolev_norm(field.basis, U, gamma).max()
-    du = sobolev_norm(field.basis, np.diff(U, axis=1) / h, gamma)
-    sup_du = du[du >= ROUNDING_MARGIN * 2.0 * np.finfo(float).eps * sup_u / h].max(initial=0.0)
-    c1_part = max(float(sup_u), float(sup_du))
-    t_int, norms2 = second_derivative_norms(field, gamma)
-    weighted = float((t_int ** (1.0 - mu) * norms2).max(initial=0.0))
-    return c1_part + weighted
+    c1_part = max(float(sup_u), float(du.max(initial=0.0)))  # the C^1 part
+    return c1_part + float((t ** (1.0 - mu) * d2u).max(initial=0.0))
 
 
 def default_fit_window(T: float) -> tuple:
@@ -132,16 +135,15 @@ def regularity_report(
     """
     if window is None:
         window = default_fit_window(field.mesh.T)
-    t, norms = second_derivative_norms(field, gamma)
+    _, _, t, norms = parts = _difference_norms(field, gamma)
     if np.any(norms[fit_window_mask(t, window)] <= 0.0):
         fitted = 0.0
     else:
         fitted = fit_singularity_exponent(t, norms, window)
     mu = 1.0 - alpha0 if alpha0 > 0.0 else 0.0
-    weighted = weighted_cm_norm(field, mu, gamma)
     return RegularityReport(
         alpha0=alpha0,
         fitted_slope=fitted,
-        weighted_norm=weighted,
+        weighted_norm=_weighted_norm(mu, *parts),
         fit_window=(float(window[0]), float(window[1])),
     )
