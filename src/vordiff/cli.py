@@ -15,7 +15,7 @@ import numpy as np
 from . import csvio
 from .config import RunConfig
 from .diagnostics import MIN_FIT_SAMPLES, MIN_MESH_M, fit_window_mask, regularity_report
-from .errors import ConfigError, VordiffError
+from .errors import ConfigError, DomainError, VordiffError
 from .forward import solve_forward, stability_ratio
 from .inverse import check_observations, recover_order, synthesize_observations, uniqueness_scan
 
@@ -81,7 +81,10 @@ def run_diagnose(cfg: RunConfig, args):
         )
     spec = cfg.model_spec()
     field = solve_forward(spec, mesh, cfg.basis_N)
-    report = regularity_report(field, spec.alpha.alpha0, cfg.diag_gamma, window=window)
+    try:
+        report = regularity_report(field, spec.alpha.alpha0, cfg.diag_gamma, window=window)
+    except DomainError as exc:  # after the checks above, only the floor can empty the window
+        raise ConfigError(f"diagnostics.fit_lo..fit_hi: {exc}") from None
     csvio.write_regularity_csv(os.path.join(cfg.out_dir, "regularity.csv"), report)
 
 

@@ -131,12 +131,23 @@ def regularity_report(
 
     alpha0 is the order at t = 0; the expected log-log slope is -alpha0.
     The weighted norm uses mu = 1 - alpha0 (mu = 0 when alpha0 = 0, where
-    the weight is degenerate and the plain norm is reported).
+    the weight is degenerate and the plain norm is reported).  If the rounding
+    floor leaves fewer than MIN_FIT_SAMPLES of the window's mesh nodes, the
+    DomainError names the floor and the first node it keeps.
     """
     if window is None:
         window = default_fit_window(field.mesh.T)
     _, _, t, norms = parts = _difference_norms(field, gamma)
-    if np.any(norms[fit_window_mask(t, window)] <= 0.0):
+    inside = fit_window_mask(t, window)
+    kept = np.count_nonzero(inside)
+    nodes = np.count_nonzero(fit_window_mask(field.mesh.nodes[1:-1], window))
+    if kept < MIN_FIT_SAMPLES <= nodes:
+        raise DomainError(
+            f"the rounding floor keeps {kept} of the {nodes} interior nodes in the fit "
+            f"window, need >= {MIN_FIT_SAMPLES}; the first node it keeps is t = "
+            f"{t.min(initial=np.inf):.4e}"
+        )
+    if np.any(norms[inside] <= 0.0):
         fitted = 0.0
     else:
         fitted = fit_singularity_exponent(t, norms, window)

@@ -173,6 +173,19 @@ class TestSynthInvertScanDiagnose:
         assert "config error" in err and "diagnostics.fit_lo" in err
         assert not (tmp_path / "regularity.csv").exists()
 
+    def test_diagnose_rounding_floor_empties_window_exit_2(self, tmp_path, capsys):
+        # 9 interior nodes (n = 2..10) lie in the window, so the pre-solve
+        # count passes; the rounding floor then drops n = 1..10, and the first
+        # node it keeps, t = 1.33e-8, lies above the window
+        text = (TWIN_CFG.replace("0.3, 0.2", "0.5").replace("0.95", "0.9")
+                .replace("mesh.M = 64", "mesh.M = 1024").replace("basis.N = 4", "basis.N = 2"))
+        cfg = write_cfg(tmp_path, text + "diagnostics.fit_lo = 1e-12\ndiagnostics.fit_hi = 1e-8\n")
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "diagnostics.fit_lo" in err and "rounding floor" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "regularity.csv").exists()
+
     def test_invert_bad_inversion_key_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TWIN_CFG.replace("inversion.degree = 1",
                                                    "inversion.degree = 9"))
