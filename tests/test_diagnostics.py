@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vordiff.diagnostics
 from vordiff import (
     DomainError,
     ModelSpec,
@@ -59,6 +60,10 @@ class TestSecondDerivativeNorms:
         field = run_field((0.5,), 0.9, M=63, r=2.0)
         with pytest.raises(DomainError):
             second_derivative_norms(field, 0.0)
+        with pytest.raises(DomainError, match="M >= 64"):
+            weighted_cm_norm(field, 0.5, 0.0)
+        with pytest.raises(DomainError, match="M >= 64"):
+            regularity_report(field, 0.5, 0.0)
 
 
 class TestFitExponent:
@@ -157,3 +162,28 @@ class TestRegularityReport:
                                fit_window=(1e-3, 1e-1))
         assert rep.verdict == verdict
         assert rep.expected_slope == -0.3
+
+    def test_forms_each_norm_once(self, monkeypatch):
+        # one pass: the field's norm, the first and the second differences'
+        field = run_field((0.5,), 0.9)
+        calls = []
+        norm = vordiff.diagnostics.sobolev_norm
+        monkeypatch.setattr(vordiff.diagnostics, "sobolev_norm",
+                            lambda *args: calls.append(args) or norm(*args))
+        rep = regularity_report(field, 0.5, 0.0)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        assert rep.weighted_norm == weighted_cm_norm(field, 0.5, 0.0)
+        norms = second_derivative_norms(field, 0.0)
+        assert rep.fitted_slope == fit_singularity_exponent(*norms, rep.fit_window)
+
+    def test_rounding_floor_empties_window(self):
+        # order 0.5, u0 = x(pi - x), M = 1024, r = 4: the window holds the
+        # interior nodes n = 2..10, and the floor drops n = 1..10
+        spec = ModelSpec(K=1.0, L=L, T=1.0, k_coeffs=(1.0,),
+                         alpha=OrderFunction((0.5,), 0.9, 1.0),
+                         u0=lambda x: np.asarray(x) * (L - np.asarray(x)))
+        field = solve_forward(spec, TimeMesh(1.0, 1024, 4.0), 2)
+        match = r"rounding floor keeps 0 of the 9 interior nodes .* t = 1\.3316e-08"
+        with pytest.raises(DomainError, match=match):
+            regularity_report(field, 0.5, 0.0, window=(1e-12, 1e-8))
