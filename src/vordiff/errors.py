@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the rule for counts."""
+
+from numbers import Integral
 
 
 class VordiffError(Exception):
@@ -7,6 +9,13 @@ class VordiffError(Exception):
 
 class DomainError(VordiffError, ValueError):
     """Input outside the domain or preconditions of an operation."""
+
+
+def _count(value, name, lo=1):
+    """value as an int; DomainError unless it is an integer (not a bool) >= lo."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < lo:
+        raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
 
 
 class NumericalError(VordiffError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _count
 
 MAX_ORDER_DEGREE = 6
 SENSITIVITY_BLOCK = 64  # nodes per weight block in order_sensitivities
@@ -94,11 +94,7 @@ class TimeMesh:
         if self.nodes is None:
             if not (self.T > 0.0 and np.isfinite(self.T)):
                 raise DomainError(f"mesh horizon T must be positive and finite, got {self.T}")
-            if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
-                raise DomainError(f"mesh intervals M must be an integer, got {self.M!r}")
-            self.M = int(self.M)
-            if self.M < 1:
-                raise DomainError(f"mesh needs M >= 1 intervals, got {self.M}")
+            self.M = _count(self.M, "mesh intervals M")
             if self.r is None or not (self.r >= 1.0 and np.isfinite(self.r)):
                 raise DomainError(f"mesh grading r must be finite and >= 1, got {self.r}")
             n = np.arange(self.M + 1, dtype=float)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IllPosedExtractionError
+from .errors import DomainError, IllPosedExtractionError, _count
 from .fracops import (MAX_ORDER_DEGREE, OrderFunction, TimeMesh, order_sensitivities,
                       polyval, project_admissible)
 from .forward import ModelSpec, default_grading, solve_forward, step_modes
@@ -70,11 +70,10 @@ class ObservationSet:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.synthesis_mesh is not None:
             M, r = self.synthesis_mesh
-            if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
-                raise DomainError(f"synthesis mesh M must be an integer >= 1, got {M!r}")
+            M = _count(M, "synthesis mesh M")
             if not (r >= 1.0 and np.isfinite(r)):
                 raise DomainError(f"synthesis mesh r must be finite and >= 1, got {r}")
-            self.synthesis_mesh = (int(M), float(r))
+            self.synthesis_mesh = (M, float(r))
 
 
 @dataclass
@@ -92,12 +91,12 @@ class InversionConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:
             raise DomainError(f"alpha_star must lie in (0, 1), got {self.alpha_star}")
-        if not 0 <= self.degree <= MAX_ORDER_DEGREE:
+        if _count(self.degree, "ansatz degree", 0) > MAX_ORDER_DEGREE:
             raise DomainError(f"ansatz degree {self.degree} outside 0..{MAX_ORDER_DEGREE}")
         if not (self.tikhonov >= 0.0 and np.isfinite(self.tikhonov)):
             raise DomainError(f"tikhonov weight must be finite and >= 0, got {self.tikhonov}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+        _count(self.max_iter, "max_iter")
+        _count(self.n_modes, "n_modes")
         if not 0.0 <= self.gn_tolerance < np.inf:
             raise DomainError(f"gn_tolerance must be finite and >= 0, got {self.gn_tolerance}")
         if not np.isfinite(self.init_coeffs).all():
@@ -172,8 +171,10 @@ def synthesize_observations(
         raise DomainError(f"window ({a}, {b}) must lie inside [0, {spec.L}]")
     if not 0.0 <= noise_level <= MAX_NOISE_LEVEL:
         raise DomainError(f"noise level {noise_level} outside [0, {MAX_NOISE_LEVEL}]")
-    if x_count < 1 or t_count < 1 or refine < 1 or seed < 0:
-        raise DomainError("x_count, t_count and refine must be >= 1, and seed >= 0")
+    for name, count in (("x_count", x_count), ("t_count", t_count), ("refine", refine)):
+        _count(count, name)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if spec.alpha is None:
         raise DomainError("synthesis needs the true order on the model")
     if grading is None:

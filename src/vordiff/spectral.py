@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _count
 
 BOUNDARY_TOL = 1e-12
 
@@ -32,8 +32,7 @@ class SpectralBasis:
             raise DomainError(f"diffusivity K must be positive and finite, got {self.K}")
         if not (self.L > 0.0 and np.isfinite(self.L)):
             raise DomainError(f"domain length L must be positive and finite, got {self.L}")
-        if self.N < 1:
-            raise DomainError(f"mode count N must be >= 1, got {self.N}")
+        _count(self.N, "mode count N")
 
     def eigenvalues(self):
         """lambda_i = K (i pi / L)^2 for i = 1..N, as an (N,) array."""

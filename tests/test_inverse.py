@@ -106,6 +106,30 @@ def test_empty_observation_set_rejected(x_count, t_count):
         ObservationSet(WINDOW, xs, ts, np.zeros((x_count, t_count)), 0.0, 0)
 
 
+COUNT_SITES = {
+    "TimeMesh.M": lambda v: TimeMesh(1.0, v),
+    "synthesis_mesh.M": lambda v: ObservationSet(WINDOW, [1.0], [0.5], [[1.0]], 0.0, 0,
+                                                 synthesis_mesh=(v, 1.0)),
+    "SpectralBasis.N": lambda v: SpectralBasis(1.0, L, v),
+    "degree": lambda v: InversionConfig(degree=v),
+    "max_iter": lambda v: InversionConfig(max_iter=v),
+    "n_modes": lambda v: InversionConfig(n_modes=v),
+    "x_count": lambda v: twin_observations((0.5,), x_count=v),
+    "t_count": lambda v: twin_observations((0.5,), t_count=v),
+    "refine": lambda v: twin_observations((0.5,), refine=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_counts_must_be_integers(site, value, monkeypatch):
+    # SpectralBasis(1, pi, 2.5) had 3 eigenvalues, InversionConfig(degree=1.5)
+    # failed inside recover_order with a TypeError; no count reaches a solve
+    monkeypatch.setattr(vordiff.inverse, "solve_forward", None)
+    with pytest.raises(DomainError, match="integer"):
+        COUNT_SITES[site](value)
+
+
 class TestExtractModes:
     def test_single_mode(self):
         u0 = lambda x: np.sqrt(2 / L) * np.sin(np.asarray(x))
