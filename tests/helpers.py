@@ -4,8 +4,9 @@ These never call back into the product code paths they check: fractional
 values come from adaptive QUADPACK quadrature with algebraic endpoint
 weights, derivatives from Richardson-extrapolated central differences,
 and exact_mode inverts the Laplace transform of one constant-order mode.
-The reference_* functions are the plain forms of optimized product
-routines, kept to compare against; they share with the product only its
+manufactured_mode gives an exact solution at a varying order by
+manufacturing its forcing.  The reference_* functions are the plain forms of
+optimized product routines, kept to compare against; they share with the product only its
 kernel rule and scalar special functions.  edit_observations writes the
 defective observation files that the input checks must reject.
 """
@@ -45,6 +46,32 @@ def exact_mode(a, k, lam, u0, t, method="talbot", derivative=0):
         U = lambda s: u0 * (1 + k * s ** (a - 1)) / (s + k * s**a + lam)
         F = (U, lambda s: s * U(s) - u0, lambda s: s * s * U(s) - s * u0 + lam * u0)[derivative]
         return float(mpmath.invertlaplace(F, mpmath.mpf(t), method=method))
+
+
+def manufactured_mode(alpha_coeffs, k_coeffs, lam, terms, mesh):
+    """(u, forcing) at the nodes of mesh for u(t) = sum w t^beta over terms (w, beta).
+
+    The scheme freezes the order at each node, and at order a_n the Caputo
+    derivative of t^beta is Gamma(beta + 1) / Gamma(beta + 1 - a_n) t_n^(beta - a_n)
+    (0 for beta = 0).  So u exactly solves u' + k D^alpha u = -lam u + f at the
+    nodes, for polynomial alpha(t) and k(t), with f = u' + k D^alpha u + lam u.
+    forcing holds f at the nodes n >= 1; column 0 is unused and left 0, so no
+    t^(beta - 1) is taken at t = 0.
+    """
+    t = mesh.nodes
+    u = sum(w * t**beta for w, beta in terms)
+    tn = t[1:]
+    a = np.polynomial.polynomial.polyval(tn, alpha_coeffs)
+    k = np.polynomial.polynomial.polyval(tn, k_coeffs)
+    du = sum(w * beta * tn ** (beta - 1.0) for w, beta in terms)
+    caputo = sum(
+        w * math.gamma(beta + 1.0) * tn ** (beta - a)
+        / np.array([math.gamma(beta + 1.0 - an) for an in a])
+        for w, beta in terms if beta > 0.0
+    )
+    forcing = np.zeros_like(t)
+    forcing[1:] = du + k * caputo + lam * u[1:]
+    return u, forcing
 
 
 def reference_block_inverses(mesh, a, k_gam, lam, first, count, b):

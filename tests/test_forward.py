@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import exact_mode, reference_block_inverses
+from helpers import exact_mode, manufactured_mode, reference_block_inverses
 from vordiff import (
     DomainError,
     ModelSpec,
@@ -340,6 +340,60 @@ def test_step_modes_memory_ceiling():
     finally:
         tracemalloc.stop()
     assert peak <= 2.6 * 2**20
+
+
+MANUFACTURED_ORDERS = {
+    "0.5": (0.5,), "0.5+0.2t": (0.5, 0.2), "0.3+0.2t": (0.3, 0.2),
+    "0.05+0.85t": (0.05, 0.85), "0.6t-0.3t^2": (0.0, 0.6, -0.3),
+}
+
+
+def manufactured_run(alpha, k, lam, terms, mesh):
+    """step_modes on one mode against manufactured_mode: (computed, exact)."""
+    u, f = manufactured_mode(alpha, k, lam, terms, mesh)
+    a = np.polynomial.polynomial.polyval(mesh.nodes, alpha)
+    kn = np.polynomial.polynomial.polyval(mesh.nodes, k)
+    return step_modes(mesh, a, kn, [lam], [u[0]], f[None])[0], u
+
+
+class TestManufacturedReference:
+    """u = 1 - t + t^(2 - alpha(0)) has the true solution's t^(-alpha(0))
+    blow-up in u''; manufactured_mode makes it an exact solution at a
+    varying order and a varying k.  Gates fixed from a probe before this
+    test: M * max nodal error 0.15-0.46 at r = 1 and 0.29-0.70 at the
+    default grading, rates 0.994-1.034 (M = 256 and 1024)."""
+
+    @pytest.mark.parametrize("r, gate", [(1.0, 0.5), (None, 0.8)], ids=["uniform", "graded"])
+    @pytest.mark.parametrize("alpha", MANUFACTURED_ORDERS.values(), ids=MANUFACTURED_ORDERS)
+    def test_first_order_at_every_node(self, alpha, r, gate):
+        terms = [(1.0, 0.0), (-1.0, 1.0), (1.0, 2.0 - alpha[0])]
+        r = default_grading(alpha[0]) if r is None else r
+        for k in [(1.0,), (1.0, 0.5), (2.0, -1.0)]:
+            for lam in (1.0, 4.0):
+                errs = []
+                for M in (256, 1024):
+                    got, exact = manufactured_run(alpha, k, lam, terms, TimeMesh(1.0, M, r))
+                    errs.append(np.abs(got - exact).max())
+                    assert M * errs[-1] <= gate, (k, lam, M, M * errs[-1])
+                rate = np.log(errs[0] / errs[1]) / np.log(4.0)
+                assert 0.95 <= rate <= 1.10, (k, lam, rate)
+
+    def test_stacked_solutions_match_single_calls(self):
+        # three manufactured solutions on two modes in one call: each is
+        # bitwise its own call
+        alpha, k, lam, M = (0.3, 0.2), (1.0, 0.5), [1.0, 4.0], 256
+        mesh = TimeMesh(1.0, M, default_grading(alpha[0]))
+        term_sets = ([(1.0, 0.0), (-1.0, 1.0), (1.0, 1.7)], [(2.0, 1.0), (0.5, 1.5)],
+                     [(-1.0, 0.0), (3.0, 2.0)])
+        pairs = [[manufactured_mode(alpha, k, l, terms, mesh) for l in lam] for terms in term_sets]
+        exact = np.array([[u for u, _ in modes] for modes in pairs])
+        forcing = np.array([[f for _, f in modes] for modes in pairs])
+        a = np.polynomial.polynomial.polyval(mesh.nodes, alpha)
+        kn = np.polynomial.polynomial.polyval(mesh.nodes, k)
+        stacked = step_modes(mesh, a, kn, lam, exact[:, :, 0], forcing)
+        for i in range(len(term_sets)):
+            alone = step_modes(mesh, a, kn, lam, exact[i, :, 0], forcing[i])
+            assert np.array_equal(stacked[i], alone)
 
 
 class TestExactReference:
