@@ -115,7 +115,7 @@ def _weighted_norm(mu, sup_u, du, t, d2u):
     """weighted_cm_norm from the parts that _difference_norms returns."""
     if not 0.0 <= mu < 1.0:
         raise DomainError(f"weight exponent mu must lie in [0, 1), got {mu}")
-    c1_part = max(float(sup_u), float(du.max(initial=0.0)))  # the C^1 part
+    c1_part = max(float(sup_u), float(du.max(initial=0.0)))
     return c1_part + float((t ** (1.0 - mu) * d2u).max(initial=0.0))
 
 
@@ -131,9 +131,9 @@ def regularity_report(
 
     alpha0 is the order at t = 0; the expected log-log slope is -alpha0.
     The weighted norm uses mu = 1 - alpha0 (mu = 0 when alpha0 = 0, where
-    the weight is degenerate and the plain norm is reported).  If the rounding
-    floor leaves fewer than MIN_FIT_SAMPLES of the window's mesh nodes, the
-    DomainError names the floor and the first node it keeps.
+    the weight is degenerate and the plain norm is reported).  When the mesh
+    has MIN_FIT_SAMPLES interior nodes in the window but the rounding floor
+    keeps fewer, the DomainError names the floor and the first node it keeps.
     """
     if window is None:
         window = default_fit_window(field.mesh.T)
