@@ -5,10 +5,11 @@ values come from adaptive QUADPACK quadrature with algebraic endpoint
 weights, derivatives from Richardson-extrapolated central differences,
 and exact_mode inverts the Laplace transform of one constant-order mode.
 manufactured_mode gives an exact solution at a varying order by
-manufacturing its forcing.  The reference_* functions are the plain forms of
-optimized product routines, kept to compare against; they share with the product only its
-kernel rule and scalar special functions.  edit_observations writes the
-defective observation files that the input checks must reject.
+manufacturing its forcing.  The reference_* functions are the plain forms
+of optimized product routines, kept to compare against; they share with
+the product only its kernel rule and scalar special functions.
+edit_observations writes the defective observation files that the input
+checks must reject.
 """
 
 import math
