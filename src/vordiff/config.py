@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvio import _read_table, fmt
 from .diagnostics import default_fit_window
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _count, _real
 from .forward import ModelSpec, default_grading
 from .fracops import OrderFunction, TimeMesh
 from .inverse import MAX_NOISE_LEVEL, InversionConfig
@@ -158,24 +158,24 @@ class RunConfig:
             self.time_mesh()
             SpectralBasis(self.K, self.L, self.basis_N)
             self.inversion_config()
+            _count(self.obs_x_count, "observation.x_count")
+            _real(self.diag_gamma, "diagnostics.gamma")
+            _count(self.out_x_count, "output.x_count")
+            _count(self.seed, "run.seed", 0)
         except DomainError as exc:
             raise ConfigError(str(exc), path) from exc
         for key, ok, rule in (  # in field order
             ("observation.a", 0.0 <= self.obs_a < self.L, f"in [0, model.L = {self.L})"),
             ("observation.b", self.obs_a < self.obs_b <= self.L,
              f"in (observation.a, model.L = {self.L}]"),
-            ("observation.x_count", self.obs_x_count >= 1, ">= 1"),
             ("observation.noise_level", 0.0 <= self.noise_level <= MAX_NOISE_LEVEL,
              f"in [0, {MAX_NOISE_LEVEL}]"),
             ("observation.synthesis_refine", self.synthesis_refine >= 4,
              ">= 4, so synthetic data comes from a strictly finer mesh than the inversion mesh"),
-            ("diagnostics.gamma", 0.0 <= self.diag_gamma < np.inf, "finite and >= 0"),
             ("diagnostics.fit_lo", 0.0 < self.diag_fit_lo < self.diag_fit_hi, "in (0, fit_hi)"),
             ("diagnostics.fit_hi", self.diag_fit_hi <= self.T, f"<= model.T = {self.T}"),
             ("scan.c0_grid", all(0.0 <= c <= self.alpha_star for c in self.scan_c0_grid),
              f"in [0, model.alpha_star = {self.alpha_star}]"),
-            ("output.x_count", self.out_x_count >= 1, ">= 1"),
-            ("run.seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ConfigError(f"{key} must be {rule}", path)

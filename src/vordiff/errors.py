@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and the rule for counts."""
+"""Exception types shared across the library, and the rules for counts and reals."""
 
+import math
 from numbers import Integral
 
 
@@ -12,10 +13,20 @@ class DomainError(VordiffError, ValueError):
 
 
 def _count(value, name, lo=1):
-    """value as an int; DomainError unless it is an integer (not a bool) >= lo."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < lo:
+    """value as an int; DomainError unless it is an integer (not a bool) >= lo.
+    A numpy scalar or 0-d array is taken as its element."""
+    n = value.item() if getattr(value, "ndim", None) == 0 else value
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < lo:
         raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
-    return int(value)
+    return int(n)
+
+
+def _real(value, name, lo=0, positive=False):
+    """value as a float; DomainError unless it is finite and > 0 (positive) or >= lo."""
+    if value is None or not (value > 0 if positive else value >= lo) or not math.isfinite(value):
+        rule = "positive and finite" if positive else f"finite and >= {lo}"
+        raise DomainError(f"{name} must be {rule}, got {value}")
+    return float(value)
 
 
 class NumericalError(VordiffError):

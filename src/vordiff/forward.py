@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _real
 from .fracops import (OrderFunction, TimeMesh, _check_orders, _kernel_increments, _kernel_values,
                       polyval)
 from .spectral import SpectralBasis, analyze, analyze_function, sobolev_norm
@@ -67,10 +67,8 @@ class ModelSpec:
     u0: object
 
     def __post_init__(self):
-        if not all(v > 0.0 and np.isfinite(v) for v in (self.K, self.L, self.T)):
-            raise DomainError(
-                f"K, L, T must be positive and finite, got ({self.K}, {self.L}, {self.T})"
-            )
+        self.K, self.L, self.T = (_real(v, "K, L, T", positive=True)
+                                  for v in (self.K, self.L, self.T))
         self.k_coeffs = tuple(float(c) for c in self.k_coeffs)
         if not np.isfinite(self.k_coeffs).all():
             raise DomainError(f"k coefficients must be finite, got {self.k_coeffs}")

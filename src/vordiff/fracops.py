@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _real
 
 MAX_ORDER_DEGREE = 6
 SENSITIVITY_BLOCK = 64  # nodes per weight block in order_sensitivities
@@ -92,11 +92,9 @@ class TimeMesh:
 
     def __post_init__(self):
         if self.nodes is None:
-            if not (self.T > 0.0 and np.isfinite(self.T)):
-                raise DomainError(f"mesh horizon T must be positive and finite, got {self.T}")
+            self.T = _real(self.T, "mesh horizon T", positive=True)
             self.M = _count(self.M, "mesh intervals M")
-            if self.r is None or not (self.r >= 1.0 and np.isfinite(self.r)):
-                raise DomainError(f"mesh grading r must be finite and >= 1, got {self.r}")
+            self.r = _real(self.r, "mesh grading r", lo=1)
             n = np.arange(self.M + 1, dtype=float)
             self.nodes = self.T * (n / self.M) ** self.r
         else:
@@ -145,8 +143,7 @@ class OrderFunction:
                 f"alpha_star must lie in (0, 1), got {self.alpha_star}: "
                 "the model requires 0 <= alpha(t) <= alpha_star < 1"
             )
-        if not (self.T > 0.0 and np.isfinite(self.T)):
-            raise DomainError(f"order horizon T must be positive and finite, got {self.T}")
+        _real(self.T, "order horizon T", positive=True)
         lo, hi = order_range(self.coeffs, self.T)
         if lo < 0.0 or hi > self.alpha_star:
             raise DomainError(
@@ -191,7 +188,7 @@ class SampledFunction:
 
 
 def _check_node(mesh, n):
-    if not 1 <= n <= mesh.M:
+    if _count(n, "node index n") > mesh.M:
         raise DomainError(f"node index n = {n} outside 1..{mesh.M}")
 
 

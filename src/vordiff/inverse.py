@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IllPosedExtractionError, _count
+from .errors import DomainError, IllPosedExtractionError, _count, _real
 from .fracops import (MAX_ORDER_DEGREE, OrderFunction, TimeMesh, order_sensitivities,
                       polyval, project_admissible)
 from .forward import ModelSpec, default_grading, solve_forward, step_modes
@@ -64,16 +64,13 @@ class ObservationSet:
         if self.values.shape != (self.x_points.size, self.t_points.size):
             raise DomainError(f"values shape {self.values.shape} inconsistent with "
                               f"{self.x_points.size} x points and {self.t_points.size} t points")
-        if not 0.0 <= self.noise_level < np.inf:
-            raise DomainError(f"noise level must be finite and >= 0, got {self.noise_level}")
+        self.noise_level = _real(self.noise_level, "noise level")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.synthesis_mesh is not None:
             M, r = self.synthesis_mesh
-            M = _count(M, "synthesis mesh M")
-            if not (r >= 1.0 and np.isfinite(r)):
-                raise DomainError(f"synthesis mesh r must be finite and >= 1, got {r}")
-            self.synthesis_mesh = (M, float(r))
+            self.synthesis_mesh = (_count(M, "synthesis mesh M"),
+                                   _real(r, "synthesis mesh r", lo=1))
 
 
 @dataclass
@@ -93,12 +90,10 @@ class InversionConfig:
             raise DomainError(f"alpha_star must lie in (0, 1), got {self.alpha_star}")
         if _count(self.degree, "ansatz degree", 0) > MAX_ORDER_DEGREE:
             raise DomainError(f"ansatz degree {self.degree} outside 0..{MAX_ORDER_DEGREE}")
-        if not (self.tikhonov >= 0.0 and np.isfinite(self.tikhonov)):
-            raise DomainError(f"tikhonov weight must be finite and >= 0, got {self.tikhonov}")
+        _real(self.tikhonov, "tikhonov weight")
         _count(self.max_iter, "max_iter")
         _count(self.n_modes, "n_modes")
-        if not 0.0 <= self.gn_tolerance < np.inf:
-            raise DomainError(f"gn_tolerance must be finite and >= 0, got {self.gn_tolerance}")
+        _real(self.gn_tolerance, "gn_tolerance")
         if not np.isfinite(self.init_coeffs).all():
             raise DomainError(f"initial guess must be finite, got {self.init_coeffs}")
         if np.size(self.init_coeffs) > self.degree + 1:
@@ -201,7 +196,7 @@ def extract_modes(obs: ObservationSet, basis: SpectralBasis, n_modes: int) -> Mo
     observation time at once.  The design-matrix condition number is
     reported; beyond 1e8 the extraction is refused.
     """
-    if n_modes < 1 or n_modes > basis.N:
+    if _count(n_modes, "mode count n_modes") > basis.N:
         raise DomainError(f"mode count {n_modes} outside 1..{basis.N}")
     if obs.x_points.size < 2 * n_modes:
         raise DomainError(

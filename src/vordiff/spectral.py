@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _real
 
 BOUNDARY_TOL = 1e-12
 
@@ -28,10 +28,8 @@ class SpectralBasis:
     N: int
 
     def __post_init__(self):
-        if not (self.K > 0.0 and np.isfinite(self.K)):
-            raise DomainError(f"diffusivity K must be positive and finite, got {self.K}")
-        if not (self.L > 0.0 and np.isfinite(self.L)):
-            raise DomainError(f"domain length L must be positive and finite, got {self.L}")
+        _real(self.K, "diffusivity K", positive=True)
+        _real(self.L, "domain length L", positive=True)
         _count(self.N, "mode count N")
 
     def eigenvalues(self):
@@ -98,8 +96,7 @@ def sobolev_norm(basis: SpectralBasis, coeffs, gamma: float):
     boundary-compatible functions.  This is the library's one spectral
     norm: the stability ratio and the regularity diagnostics all call it.
     """
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    gamma = _real(gamma, "gamma")
     c = np.asarray(coeffs, dtype=float)
     if c.ndim not in (1, 2) or c.shape[0] != basis.N:
         raise DomainError(f"coefficient shape {c.shape} does not match basis N = {basis.N}")
