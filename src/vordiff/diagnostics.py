@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .forward import SolutionField
+from .fracops import _check_orders
 from .spectral import sobolev_norm
 
 SMOOTH_SLOPE_THRESHOLD = 0.1
@@ -129,12 +130,13 @@ def regularity_report(
 ) -> RegularityReport:
     """Fit the blow-up exponent and evaluate the matching weighted norm.
 
-    alpha0 is the order at t = 0; the expected log-log slope is -alpha0.
+    alpha0 is the order at t = 0, in [0, 1); the expected log-log slope is -alpha0.
     The weighted norm uses mu = 1 - alpha0 (mu = 0 when alpha0 = 0, where
     the weight is degenerate and the plain norm is reported).  When the mesh
     has MIN_FIT_SAMPLES interior nodes in the window but the rounding floor
     keeps fewer, the DomainError names the floor and the first node it keeps.
     """
+    _check_orders(np.array([alpha0], dtype=float))
     if window is None:
         window = default_fit_window(field.mesh.T)
     _, _, t, norms = parts = _difference_norms(field, gamma)

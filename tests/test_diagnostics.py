@@ -187,3 +187,18 @@ class TestRegularityReport:
         match = r"rounding floor keeps 0 of the 9 interior nodes .* t = 1\.3316e-08"
         with pytest.raises(DomainError, match=match):
             regularity_report(field, 0.5, 0.0, window=(1e-12, 1e-8))
+
+    @pytest.mark.parametrize("alpha0", [-0.5, np.nan, 1.0])
+    def test_initial_order_outside_unit_interval_rejected(self, alpha0):
+        # the parent reported expected_slope 0.5 at alpha0 = -0.5, nan at nan,
+        # and accepted 1.0, where mu = 1 - alpha0 leaves the weight's range
+        field = run_field((0.5,), 0.9, M=128, r=2.0)
+        with pytest.raises(DomainError, match=r"order value .* outside \[0, 1\)"):
+            regularity_report(field, alpha0, 0.0)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # the parent blamed the rounding floor, with "t = inf"
+        field = run_field((0.5,), 0.9, M=128, r=2.0)
+        with pytest.raises(DomainError, match="gamma"):
+            regularity_report(field, 0.5, gamma)
