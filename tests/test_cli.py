@@ -373,6 +373,23 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
         assert filecmp.cmp(blocked / name, unblocked / name, shallow=False), name
 
 
+def test_module_entry_point_exit_codes(tmp_path):
+    # python -m vordiff runs cli.main: 0 on success, 2 on a config error
+    good = write_cfg(tmp_path, TWIN_CFG)
+    bad = write_cfg(tmp_path, TWIN_CFG.replace("mesh.M = 64", "mesh.M = 0"), name="bad.cfg")
+    src = pathlib.Path(vordiff.__file__).resolve().parents[1]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "vordiff", "forward", "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        for cfg, out in ((good, tmp_path / "good"), (bad, tmp_path / "bad"))
+    ]
+    assert runs[0].returncode == 0 and (tmp_path / "good" / "solution.csv").is_file()
+    assert runs[1].returncode == 2 and "mesh intervals M must be an integer >= 1" in runs[1].stderr
+    assert "Traceback" not in runs[1].stderr and not (tmp_path / "bad").exists()
+
+
 def test_public_names_resolve():
     # a stale __all__ entry fails only on "from vordiff import *"
     assert [name for name in vordiff.__all__ if not hasattr(vordiff, name)] == []

@@ -195,6 +195,11 @@ class TestConfigParsing:
         assert isinstance(cfg.inversion_config(), InversionConfig)
         assert cfg.model_spec(with_order=False).alpha is None
 
+    def test_empty_list_rejected(self):
+        text = BASE.replace("model.k_coeffs = 1.0", "model.k_coeffs = ,")
+        with pytest.raises(ConfigError, match="bad value for 'model.k_coeffs': empty list"):
+            RunConfig.from_text(text)
+
 
 class TestReadme:
     def _ini_block(self):
@@ -484,3 +489,15 @@ class TestCsvRoundTrips:
         values = [0.1, 1 / 3, np.pi, 1e-300, 123456.789012345678]
         for v in values:
             assert float(csvio.fmt(v)) == float(v)
+
+    def test_rows_wider_than_header_rejected(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="rows do not match the header 'a,b'"):
+            csvio._read_table(path)
+
+    def test_scan_candidates_of_mixed_widths_rejected(self, tmp_path):
+        scan = ScanResult(candidates=[(0.3,), (0.3, 0.1)], misfits=[1.0, 2.0])
+        with pytest.raises(DomainError, match="scan candidates must share one coefficient count"):
+            csvio.write_scan_csv(tmp_path / "scan.csv", scan)
+        assert not (tmp_path / "scan.csv").exists()

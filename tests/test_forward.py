@@ -190,6 +190,11 @@ class TestSolveMode:
         with pytest.raises(DomainError):
             solve_mode(1.0, 1.0, spec, TimeMesh(1.0, 16, 1.0))
 
+    def test_non_finite_trajectory_reported(self):
+        # a NaN start value passes the shape, order and coefficient checks
+        with pytest.raises(NumericalError, match="trajectory contains non-finite values"):
+            step_modes(TimeMesh(1.0, 16, 1.0), np.full(17, 0.5), np.ones(17), [1.0], [np.nan])
+
 
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("coeffs", [(0.5,), (0.3, 0.2), (0.0, 0.4), (0.0,), (0.9,)])
@@ -498,6 +503,15 @@ class TestSolveForward:
         b = solve_forward(spec, mesh, 4).values
         assert np.array_equal(a, b)
 
+    def test_order_horizon_must_match_model(self):
+        with pytest.raises(DomainError, match="order horizon 2.0 does not match model horizon 1.0"):
+            spec_with(OrderFunction((0.5,), 0.9, 2.0))
+
+    def test_field_shape_must_match_basis_and_mesh(self):
+        field = solve_forward(spec_with(OrderFunction((0.5,), 0.9, 1.0)), TimeMesh(1.0, 8, 1.0), 2)
+        with pytest.raises(DomainError, match=r"shape \(2, 8\) does not match N = 2 modes on 9"):
+            vordiff.forward.SolutionField(field.basis, field.mesh, field.values[:, :-1])
+
 
 class TestStabilityRatio:
     def test_heat_decay_bounded_by_one(self):
@@ -525,3 +539,10 @@ class TestStabilityRatio:
         field = solve_forward(spec, TimeMesh(1.0, 128, 1.0), 3)
         with pytest.raises(DomainError):
             stability_ratio(field, 0.0)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # gamma reaches sobolev_norm, which took NaN and inf and made the ratio non-finite
+        field = solve_forward(spec_with(OrderFunction((0.5,), 0.9, 1.0)), TimeMesh(1.0, 16, 1.0), 3)
+        with pytest.raises(DomainError, match="gamma must be finite and >= 0"):
+            stability_ratio(field, gamma)

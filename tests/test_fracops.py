@@ -85,6 +85,10 @@ class TestTimeMesh:
         with pytest.raises(DomainError, match="finite and strictly increasing"):
             TimeMesh.from_nodes(nodes)
 
+    def test_explicit_nodes_must_start_at_zero(self):
+        with pytest.raises(DomainError, match="mesh must start at t = 0"):
+            TimeMesh.from_nodes([0.1, 0.5, 1.0])
+
 
 class TestOrderFunction:
     def test_eval_examples(self):
@@ -130,6 +134,10 @@ class TestOrderFunction:
         alpha = OrderFunction((c0, c1), 0.95, 1.0)
         for t in np.linspace(0.0, 1.0, 37):
             assert 0.0 <= alpha(t) <= 0.95
+
+    def test_empty_coefficients_rejected(self):
+        with pytest.raises(DomainError, match="at least one coefficient"):
+            OrderFunction((), 0.9, 1.0)
 
 
 class TestProjectAdmissible:
@@ -212,6 +220,33 @@ class TestCaputo:
     def test_l1_weights_rejects_bad_node_or_order(self, n, order):
         with pytest.raises(DomainError):
             l1_weights(TimeMesh(1.0, 8, 2.0), n, order)
+
+    def test_samples_must_match_the_nodes(self):
+        with pytest.raises(DomainError, match=r"expected 9 samples \(one per node\), got shape \(8,\)"):
+            SampledFunction(TimeMesh(1.0, 8, 1.0), np.zeros(8))
+
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)])
+    @pytest.mark.parametrize("site", ["l1_weights", "caputo_vo", "caputo_order_sensitivity"])
+    def test_node_index_must_be_an_integer(self, site, n):
+        # each of these once raised a bare TypeError, ValueError or IndexError
+        mesh = TimeMesh(1.0, 8, 2.0)
+        g = sampled(mesh, lambda t: t * t)
+        call = {
+            "l1_weights": lambda: l1_weights(mesh, n, 0.5),
+            "caputo_vo": lambda: caputo_vo(g, OrderFunction((0.5,), 0.9, 1.0), n),
+            "caputo_order_sensitivity": lambda: caputo_order_sensitivity(g, 0.5, n),
+        }[site]
+        with pytest.raises(DomainError, match="node index n must be an integer >= 1"):
+            call()
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.array(3)])
+    def test_numpy_integer_node_index_accepted(self, n):
+        mesh = TimeMesh(1.0, 8, 2.0)
+        g = sampled(mesh, lambda t: t * t)
+        alpha = OrderFunction((0.5,), 0.9, 1.0)
+        assert np.array_equal(l1_weights(mesh, n, 0.5), l1_weights(mesh, 3, 0.5))
+        assert caputo_vo(g, alpha, n) == caputo_vo(g, alpha, 3)
+        assert caputo_order_sensitivity(g, 0.5, n) == caputo_order_sensitivity(g, 0.5, 3)
 
     @given(
         a=st.floats(-5.0, 5.0),

@@ -106,6 +106,18 @@ def test_empty_observation_set_rejected(x_count, t_count):
         ObservationSet(WINDOW, xs, ts, np.zeros((x_count, t_count)), 0.0, 0)
 
 
+@pytest.mark.parametrize("window, xs, values, match", [
+    ((2.0, 1.0), [1.5], [[1.0]], r"window \(2.0, 1.0\) must satisfy a < b"),
+    ((1.0, 1.0), [1.0], [[1.0]], r"window \(1.0, 1.0\) must satisfy a < b"),
+    ((1.0, 2.0), [2.5], [[1.0]], "x points must lie strictly inside the window"),
+    ((1.0, 2.0), [1.5], [[1.0, 2.0]],
+     r"values shape \(1, 2\) inconsistent with 1 x points and 1 t points"),
+], ids=["window_reversed", "window_empty", "x_outside", "values_shape"])
+def test_malformed_observation_set_rejected(window, xs, values, match):
+    with pytest.raises(DomainError, match=match):
+        ObservationSet(window, xs, [0.5], values, 0.0, 0)
+
+
 COUNT_SITES = {
     "TimeMesh.M": lambda v: TimeMesh(1.0, v),
     "synthesis_mesh.M": lambda v: ObservationSet(WINDOW, [1.0], [0.5], [[1.0]], 0.0, 0,
@@ -117,6 +129,9 @@ COUNT_SITES = {
     "x_count": lambda v: twin_observations((0.5,), x_count=v),
     "t_count": lambda v: twin_observations((0.5,), t_count=v),
     "refine": lambda v: twin_observations((0.5,), refine=v),
+    "extract_modes": lambda v: extract_modes(
+        ObservationSet(WINDOW, np.linspace(1.0, 2.0, 8), [0.5], np.ones((8, 1)), 0.0, 0),
+        SpectralBasis(1.0, L, 4), v),
 }
 
 
@@ -128,6 +143,22 @@ def test_counts_must_be_integers(site, value, monkeypatch):
     monkeypatch.setattr(vordiff.inverse, "solve_forward", None)
     with pytest.raises(DomainError, match="integer"):
         COUNT_SITES[site](value)
+
+
+def test_inversion_order_bound_below_one():
+    with pytest.raises(DomainError, match=r"alpha_star must lie in \(0, 1\), got 1.0"):
+        InversionConfig(alpha_star=1.0)
+
+
+def test_synthesis_needs_the_true_order():
+    with pytest.raises(DomainError, match="synthesis needs the true order"):
+        synthesize_observations(template(), WINDOW, 4, 4, 0.0, 0)
+
+
+def test_mode_count_above_basis_rejected():
+    obs = ObservationSet(WINDOW, np.linspace(1.0, 2.0, 12), [0.5], np.ones((12, 1)), 0.0, 0)
+    with pytest.raises(DomainError, match=r"mode count 5 outside 1\.\.4"):
+        extract_modes(obs, SpectralBasis(1.0, L, 4), 5)
 
 
 class TestExtractModes:

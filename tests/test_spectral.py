@@ -119,6 +119,10 @@ class TestAnalyze:
         oracle = simpson(samples[:, None] * G, x=x, axis=0)
         assert np.abs(c - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
+    def test_two_dimensional_samples_rejected(self):
+        with pytest.raises(DomainError, match="samples must be a vector"):
+            analyze(SpectralBasis(1.0, 1.0, 2), np.zeros((2, 11)))
+
 
 class TestSynthesize:
     def test_roundtrips(self):
@@ -164,6 +168,13 @@ class TestSobolevNorm:
         c = np.array([1.0, 0.0])
         with pytest.raises(DomainError):
             sobolev_norm(basis, c, -1.0)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # the config already refused both; the library returned a non-finite norm
+        basis = SpectralBasis(1.0, 1.0, 2)
+        with pytest.raises(DomainError, match="gamma must be finite and >= 0"):
+            sobolev_norm(basis, np.array([1.0, 0.0]), gamma)
 
     def test_leading_dimension_must_be_n(self):
         basis = SpectralBasis(1.0, 1.0, 3)
