@@ -20,7 +20,7 @@ from vordiff import (
     step_modes,
 )
 import vordiff.forward
-from vordiff.forward import CHUNK_INVERSES, STEP_BLOCK, _block_tables
+from vordiff.forward import CHUNK_INVERSES, SOE_MIN_M, STEP_BLOCK, _block_tables
 
 L = np.pi
 MODE1 = lambda x: np.sqrt(2.0 / L) * np.sin(np.asarray(x))
@@ -347,6 +347,111 @@ def test_step_modes_memory_ceiling():
     assert peak <= 2.6 * 2**20
 
 
+# Meshes of SOE_MIN_M or more intervals sum the history by exponentials;
+# each case below is gated against the weight-row stepper at the exact
+# path's 1e-13, with four modes and k = 1 + 0.5 t / T.
+SOE_LAM, SOE_U0 = np.array([1.0, 4.0, 9.0, 25.0]), np.array([1.0, -0.5, 0.25, 0.1])
+
+
+def soe_case(mesh, coeffs, forced):
+    """(a, k, forcing) at the nodes for the order sum_j coeffs[j] (t / T)^j."""
+    assert mesh.M >= SOE_MIN_M
+    scaled = [c / mesh.T**j for j, c in enumerate(coeffs)]
+    a = OrderFunction(scaled, 0.95, mesh.T)(mesh.nodes)
+    forcing = np.cos(np.outer(SOE_LAM, mesh.nodes / mesh.T)) if forced else None
+    return a, 1.0 + 0.5 * mesh.nodes / mesh.T, forcing
+
+
+def assert_soe_matches_weight_rows(mesh, a, k, forcing):
+    got = step_modes(mesh, a, k, SOE_LAM, SOE_U0, forcing)
+    want = reference_step_modes(mesh, a, k, SOE_LAM, SOE_U0, forcing)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("coeffs", [(0.5,), (0.05, 0.85)])
+@pytest.mark.parametrize("T", [0.01, 10.0])
+def test_soe_history_matches_weight_row_stepper_on_horizon(T, coeffs, forced):
+    # the exponentials start at x = e^-33 / T, so T moves the whole sum
+    mesh = TimeMesh(T, 2048, 2.5)
+    assert_soe_matches_weight_rows(mesh, *soe_case(mesh, coeffs, forced))
+
+
+@pytest.mark.parametrize("coeffs", [(0.5,), (0.3, 0.2)])
+def test_soe_history_on_explicit_nodes(coeffs):
+    # jittered steps, not monotone, with one step of 1e-9 late in the mesh:
+    # every block before it keeps the exponentials that step needs
+    h = np.random.default_rng(29).uniform(0.2, 1.8, 2100)
+    h[1500] = 1e-9 * h.sum()
+    mesh = TimeMesh.from_nodes(np.concatenate(([0.0], np.cumsum(h) / h.sum())))
+    assert_soe_matches_weight_rows(mesh, *soe_case(mesh, coeffs, True))
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("M", [2056, 2048])
+def test_soe_history_order_zero_inside_block(M, forced):
+    # alpha(t) = 0.4 - 1.6 t + 1.6 t^2 vanishes at t = 0.5 only: at node
+    # 1028, mid-block, for M = 2056 and at node 1024, a block's last node,
+    # for M = 2048; the sum's weights vanish there and the identity limit stays
+    mesh = TimeMesh(1.0, M, 1.0)
+    a, k, forcing = soe_case(mesh, (0.4, -1.6, 1.6), forced)
+    assert a[M // 2] == 0.0 and np.all(np.delete(a, M // 2) > 0.0)
+    assert_soe_matches_weight_rows(mesh, a, k, forcing)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("kept", [False, True])
+def test_soe_history_stacked_rhs_bitwise(kept, forced):
+    # each stacked right-hand side carries its own exponential state and is
+    # bitwise its own call; M = 2049 ends on a one-node block
+    mesh = TimeMesh(1.0, 2049, 2.5)
+    a, k, _ = soe_case(mesh, (0.3, 0.2), False)
+    u0 = np.array([SOE_U0, np.zeros(4), [2.0, 1.0, -1.0, 0.5]])
+    forcing = np.cos(np.arange(1.0, 4.0)[:, None, None] * np.outer(SOE_LAM, mesh.nodes))
+    forcing = forcing if forced else None
+    tables = {} if kept else None
+    stacked = step_modes(mesh, a, k, SOE_LAM, u0, forcing, tables)
+    for i in range(3):
+        row = step_modes(mesh, a, k, SOE_LAM, u0[i], None if forcing is None else forcing[i], tables)
+        assert np.array_equal(row, stacked[i])
+
+
+def test_soe_history_on_steep_grading():
+    # r = 40 puts h_1 at 3.5e-133: the sum of exponentials keeps the gate
+    # (measured 1e-14), where the exact sum by parts is off by 1e65
+    mesh = TimeMesh(1.0, 2048, 40.0)
+    assert_soe_matches_weight_rows(mesh, *soe_case(mesh, (0.5,), False))
+
+
+@pytest.mark.parametrize("T, r", [(1e290, 1.0), (1.0, 92.7)], ids=["long_horizon", "h_1e-307"])
+def test_soe_history_not_past_the_float_range(T, r, monkeypatch):
+    # x_l from e^-33 / T to 45 / h_min would leave the normal floats
+    # (45 / h_min overflows at h_1 = 1.1e-307): the exact sum runs instead
+    mesh = TimeMesh(T, SOE_MIN_M, r)
+    args = (mesh, np.full(SOE_MIN_M + 1, 0.5), np.ones(SOE_MIN_M + 1), SOE_LAM, SOE_U0)
+    got = step_modes(*args)
+    monkeypatch.setattr(vordiff.forward, "SOE_MIN_M", SOE_MIN_M + 1)
+    assert np.array_equal(got, step_modes(*args))
+
+
+def test_soe_history_only_from_soe_min_m(monkeypatch):
+    # one interval less runs the exact sum, bitwise what it was; from
+    # SOE_MIN_M on the result moves, by rounding only
+    def pair(M):
+        mesh = TimeMesh(1.0, M, 4.0)
+        a = OrderFunction((0.5, 0.2), 0.95, 1.0)(mesh.nodes)
+        k = 1.0 + 0.5 * mesh.nodes
+        got = step_modes(mesh, a, k, SOE_LAM, SOE_U0)
+        with monkeypatch.context() as m:
+            m.setattr(vordiff.forward, "SOE_MIN_M", M + 1)
+            return got, step_modes(mesh, a, k, SOE_LAM, SOE_U0)
+    below, exact = pair(SOE_MIN_M - 1)
+    assert np.array_equal(below, exact)
+    soe, exact = pair(SOE_MIN_M)
+    assert not np.array_equal(soe, exact)
+    assert np.abs(soe - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
 MANUFACTURED_ORDERS = {
     "0.5": (0.5,), "0.5+0.2t": (0.5, 0.2), "0.3+0.2t": (0.3, 0.2),
     "0.05+0.85t": (0.05, 0.85), "0.6t-0.3t^2": (0.0, 0.6, -0.3),
@@ -377,6 +482,24 @@ class TestManufacturedReference:
             for lam in (1.0, 4.0):
                 errs = []
                 for M in (256, 1024):
+                    got, exact = manufactured_run(alpha, k, lam, terms, TimeMesh(1.0, M, r))
+                    errs.append(np.abs(got - exact).max())
+                    assert M * errs[-1] <= gate, (k, lam, M, M * errs[-1])
+                rate = np.log(errs[0] / errs[1]) / np.log(4.0)
+                assert 0.95 <= rate <= 1.10, (k, lam, rate)
+
+    @pytest.mark.parametrize("r, gate", [(1.0, 0.5), (None, 0.8)], ids=["uniform", "graded"])
+    @pytest.mark.parametrize("alpha", MANUFACTURED_ORDERS.values(), ids=MANUFACTURED_ORDERS)
+    def test_first_order_on_soe_mesh(self, alpha, r, gate):
+        # M = 4096 takes the sum-of-exponentials history; the same gates and
+        # rate window, from the exact path's M = 1024
+        assert 1024 < SOE_MIN_M <= 4096
+        terms = [(1.0, 0.0), (-1.0, 1.0), (1.0, 2.0 - alpha[0])]
+        r = default_grading(alpha[0]) if r is None else r
+        for k in [(1.0,), (1.0, 0.5), (2.0, -1.0)]:
+            for lam in (1.0, 4.0):
+                errs = []
+                for M in (1024, 4096):
                     got, exact = manufactured_run(alpha, k, lam, terms, TimeMesh(1.0, M, r))
                     errs.append(np.abs(got - exact).max())
                     assert M * errs[-1] <= gate, (k, lam, M, M * errs[-1])

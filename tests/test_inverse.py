@@ -23,8 +23,9 @@ from vordiff import (
     synthesize_observations,
     uniqueness_scan,
 )
+import vordiff.forward
 import vordiff.inverse
-from vordiff.forward import default_grading
+from vordiff.forward import SOE_MIN_M, default_grading
 
 L = np.pi
 PARABOLA = lambda x: np.asarray(x) * (L - np.asarray(x))
@@ -289,6 +290,27 @@ class TestJacobian:
             fd = (residual(up, obs, model, cfg) - residual(dn, obs, model, cfg)) / (2 * eps)
             rel = np.linalg.norm(J[:, q] - fd) / np.linalg.norm(fd)
             assert rel <= 1e-3
+
+    def test_soe_history_matches_finite_differences_and_exact_path(self, monkeypatch):
+        # t_count = SOE_MIN_M: the solve and the stacked tangent solve both
+        # sum the history by exponentials, on the observation times' nodes
+        obs = twin_observations((0.3, 0.2), t_count=SOE_MIN_M, refine=1)
+        cfg = InversionConfig(degree=1, n_modes=8)
+        model = template()
+        point = np.array([0.45, 0.05])
+        J = jacobian(point, obs, model, cfg)
+        eps = 1e-5
+        for q in range(point.size):
+            up, dn = point.copy(), point.copy()
+            up[q] += eps
+            dn[q] -= eps
+            fd = (residual(up, obs, model, cfg) - residual(dn, obs, model, cfg)) / (2 * eps)
+            assert np.linalg.norm(J[:, q] - fd) <= 1e-3 * np.linalg.norm(fd)
+        monkeypatch.setattr(vordiff.forward, "SOE_MIN_M", SOE_MIN_M + 1)
+        exact = jacobian(point, obs, model, cfg)
+        assert not np.array_equal(J, exact)
+        gap = np.linalg.norm(J - exact, axis=0)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(exact, axis=0))
 
     def test_sensitivity_sign_structure(self):
         # dominant mode starts positive and decays; for small t the order
