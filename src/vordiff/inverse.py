@@ -65,8 +65,7 @@ class ObservationSet:
             raise DomainError(f"values shape {self.values.shape} inconsistent with "
                               f"{self.x_points.size} x points and {self.t_points.size} t points")
         self.noise_level = _real(self.noise_level, "noise level")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        self.seed = _count(self.seed, "seed", 0)
         if self.synthesis_mesh is not None:
             M, r = self.synthesis_mesh
             self.synthesis_mesh = (_count(M, "synthesis mesh M"),
@@ -168,8 +167,7 @@ def synthesize_observations(
         raise DomainError(f"noise level {noise_level} outside [0, {MAX_NOISE_LEVEL}]")
     for name, count in (("x_count", x_count), ("t_count", t_count), ("refine", refine)):
         _count(count, name)
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    seed = _count(seed, "seed", 0)
     if spec.alpha is None:
         raise DomainError("synthesis needs the true order on the model")
     if grading is None:

@@ -416,7 +416,7 @@ class TestCsvRoundTrips:
         ("synthesis_M", "0", "synthesis mesh M must be an integer >= 1, got 0"),
         ("synthesis_r", "nan", "synthesis mesh r must be finite and >= 1, got nan"),
         ("synthesis_r", "-2", "synthesis mesh r must be finite and >= 1, got -2.0"),
-        ("seed", "-1", "seed must be >= 0, got -1"),
+        ("seed", "-1", "seed must be an integer >= 0, got -1"),
         ("synthesis_M", None, "missing comment '# synthesis_M = ...'"),
     ], ids=["M_negative", "M_zero", "r_nan", "r_negative", "seed_negative", "lone_r"])
     def test_observations_out_of_range_comment_named(self, tmp_path, key, value, match):

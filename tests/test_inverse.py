@@ -146,6 +146,22 @@ def test_counts_must_be_integers(site, value, monkeypatch):
         COUNT_SITES[site](value)
 
 
+@pytest.mark.parametrize("seed", [2.5, True, np.float64(3.0)], ids=["float", "bool", "numpy_float"])
+def test_seed_must_be_an_integer(seed, monkeypatch):
+    # these seeds were accepted; with noise, the synthesis then died in
+    # default_rng with a bare TypeError after the whole forward solve
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        ObservationSet(WINDOW, [1.0], [0.5], [[1.0]], 1e-3, seed)
+    monkeypatch.setattr(vordiff.inverse, "solve_forward", None)  # checked before the solve
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        twin_observations((0.5,), noise=1e-3, seed=seed)
+
+
+def test_integer_seeds_kept_as_int():
+    obs = ObservationSet(WINDOW, [1.0], [0.5], [[1.0]], 1e-3, np.int64(7))
+    assert obs.seed == 7 and type(obs.seed) is int
+
+
 def test_inversion_order_bound_below_one():
     with pytest.raises(DomainError, match=r"alpha_star must lie in \(0, 1\), got 1.0"):
         InversionConfig(alpha_star=1.0)
