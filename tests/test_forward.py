@@ -230,10 +230,13 @@ def test_step_modes_matches_weight_row_stepper_m8192(coeffs):
 
 
 @pytest.mark.parametrize("forced", [False, True])
-@pytest.mark.parametrize("M", [48, 64])
+@pytest.mark.parametrize("M", [48, 64, pytest.param(2056, id="soe2056"),
+                               pytest.param(2048, id="soe2048")])
 def test_step_modes_order_zero_inside_block(M, forced):
     # alpha(t) = 0.4 - 1.6 t + 1.6 t^2 vanishes at t = 0.5 only: at node 24,
-    # mid-block, for M = 48 and at node 32, a block's last node, for M = 64
+    # mid-block, for M = 48 and at node 32, a block's last node, for M = 64;
+    # likewise at nodes 1028 and 1024 on the sum of exponentials, whose
+    # weights vanish there and leave the identity limit
     mesh = TimeMesh(1.0, M, 1.0)
     a = OrderFunction((0.4, -1.6, 1.6), 0.95, 1.0)(mesh.nodes)
     assert a[M // 2] == 0.0 and np.all(np.delete(a, M // 2) > 0.0)
@@ -265,13 +268,8 @@ def test_step_modes_batch_bitwise(M):
             assert np.array_equal(solo[0], batch[i])
 
 
-@pytest.mark.parametrize("forced", [False, True])
-@pytest.mark.parametrize("kept", [False, True])
-def test_step_modes_stacked_rhs_bitwise(kept, forced):
-    # right-hand sides stacked on a leading axis, as the Jacobian's
-    # coefficient columns are, each step bitwise as they do alone; M = 33
-    # ends on a one-node block
-    mesh = TimeMesh(1.0, 33, 2.5)
+def assert_stacked_rhs_bitwise(M, kept, forced):
+    mesh = TimeMesh(1.0, M, 2.5)
     a = OrderFunction((0.3, 0.2), 0.95, 1.0)(mesh.nodes)
     k = 1.0 + 0.5 * mesh.nodes
     lam = np.array([1.0, 4.0, 9.0, 25.0])
@@ -280,10 +278,19 @@ def test_step_modes_stacked_rhs_bitwise(kept, forced):
     forcing = forcing if forced else None
     tables = {} if kept else None
     stacked = step_modes(mesh, a, k, lam, u0, forcing, tables)
-    assert stacked.shape == (3, 4, 34)
+    assert stacked.shape == (3, 4, M + 1)
     for i in range(3):
         row = step_modes(mesh, a, k, lam, u0[i], None if forcing is None else forcing[i], tables)
         assert np.array_equal(row, stacked[i])
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("kept", [False, True])
+def test_step_modes_stacked_rhs_bitwise(kept, forced):
+    # right-hand sides stacked on a leading axis, as the Jacobian's
+    # coefficient columns are, each step bitwise as they do alone; M = 33
+    # ends on a one-node block
+    assert_stacked_rhs_bitwise(33, kept, forced)
 
 
 def test_step_tables_read_only_for_their_inputs(monkeypatch):
@@ -388,32 +395,12 @@ def test_soe_history_on_explicit_nodes(coeffs):
 
 
 @pytest.mark.parametrize("forced", [False, True])
-@pytest.mark.parametrize("M", [2056, 2048])
-def test_soe_history_order_zero_inside_block(M, forced):
-    # alpha(t) = 0.4 - 1.6 t + 1.6 t^2 vanishes at t = 0.5 only: at node
-    # 1028, mid-block, for M = 2056 and at node 1024, a block's last node,
-    # for M = 2048; the sum's weights vanish there and the identity limit stays
-    mesh = TimeMesh(1.0, M, 1.0)
-    a, k, forcing = soe_case(mesh, (0.4, -1.6, 1.6), forced)
-    assert a[M // 2] == 0.0 and np.all(np.delete(a, M // 2) > 0.0)
-    assert_soe_matches_weight_rows(mesh, a, k, forcing)
-
-
-@pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("kept", [False, True])
 def test_soe_history_stacked_rhs_bitwise(kept, forced):
-    # each stacked right-hand side carries its own exponential state and is
-    # bitwise its own call; M = 2049 ends on a one-node block
-    mesh = TimeMesh(1.0, 2049, 2.5)
-    a, k, _ = soe_case(mesh, (0.3, 0.2), False)
-    u0 = np.array([SOE_U0, np.zeros(4), [2.0, 1.0, -1.0, 0.5]])
-    forcing = np.cos(np.arange(1.0, 4.0)[:, None, None] * np.outer(SOE_LAM, mesh.nodes))
-    forcing = forcing if forced else None
-    tables = {} if kept else None
-    stacked = step_modes(mesh, a, k, SOE_LAM, u0, forcing, tables)
-    for i in range(3):
-        row = step_modes(mesh, a, k, SOE_LAM, u0[i], None if forcing is None else forcing[i], tables)
-        assert np.array_equal(row, stacked[i])
+    # each stacked right-hand side carries its own exponential state;
+    # M = 2049 ends on a one-node block
+    assert 2049 >= SOE_MIN_M
+    assert_stacked_rhs_bitwise(2049, kept, forced)
 
 
 def test_soe_history_on_steep_grading():
@@ -473,15 +460,14 @@ class TestManufacturedReference:
     test: M * max nodal error 0.15-0.46 at r = 1 and 0.29-0.70 at the
     default grading, rates 0.994-1.034 (M = 256 and 1024)."""
 
-    @pytest.mark.parametrize("r, gate", [(1.0, 0.5), (None, 0.8)], ids=["uniform", "graded"])
-    @pytest.mark.parametrize("alpha", MANUFACTURED_ORDERS.values(), ids=MANUFACTURED_ORDERS)
-    def test_first_order_at_every_node(self, alpha, r, gate):
+    @staticmethod
+    def assert_first_order(alpha, r, gate, meshes):
         terms = [(1.0, 0.0), (-1.0, 1.0), (1.0, 2.0 - alpha[0])]
         r = default_grading(alpha[0]) if r is None else r
         for k in [(1.0,), (1.0, 0.5), (2.0, -1.0)]:
             for lam in (1.0, 4.0):
                 errs = []
-                for M in (256, 1024):
+                for M in meshes:
                     got, exact = manufactured_run(alpha, k, lam, terms, TimeMesh(1.0, M, r))
                     errs.append(np.abs(got - exact).max())
                     assert M * errs[-1] <= gate, (k, lam, M, M * errs[-1])
@@ -490,21 +476,16 @@ class TestManufacturedReference:
 
     @pytest.mark.parametrize("r, gate", [(1.0, 0.5), (None, 0.8)], ids=["uniform", "graded"])
     @pytest.mark.parametrize("alpha", MANUFACTURED_ORDERS.values(), ids=MANUFACTURED_ORDERS)
+    def test_first_order_at_every_node(self, alpha, r, gate):
+        self.assert_first_order(alpha, r, gate, (256, 1024))
+
+    @pytest.mark.parametrize("r, gate", [(1.0, 0.5), (None, 0.8)], ids=["uniform", "graded"])
+    @pytest.mark.parametrize("alpha", MANUFACTURED_ORDERS.values(), ids=MANUFACTURED_ORDERS)
     def test_first_order_on_soe_mesh(self, alpha, r, gate):
-        # M = 4096 takes the sum-of-exponentials history; the same gates and
+        # M = 4096 takes the sum-of-exponentials history: the same gates and
         # rate window, from the exact path's M = 1024
         assert 1024 < SOE_MIN_M <= 4096
-        terms = [(1.0, 0.0), (-1.0, 1.0), (1.0, 2.0 - alpha[0])]
-        r = default_grading(alpha[0]) if r is None else r
-        for k in [(1.0,), (1.0, 0.5), (2.0, -1.0)]:
-            for lam in (1.0, 4.0):
-                errs = []
-                for M in (1024, 4096):
-                    got, exact = manufactured_run(alpha, k, lam, terms, TimeMesh(1.0, M, r))
-                    errs.append(np.abs(got - exact).max())
-                    assert M * errs[-1] <= gate, (k, lam, M, M * errs[-1])
-                rate = np.log(errs[0] / errs[1]) / np.log(4.0)
-                assert 0.95 <= rate <= 1.10, (k, lam, rate)
+        self.assert_first_order(alpha, r, gate, (1024, 4096))
 
     def test_stacked_solutions_match_single_calls(self):
         # three manufactured solutions on two modes in one call: each is
