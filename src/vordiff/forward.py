@@ -18,9 +18,9 @@ by recursive doubling once per eigenvalue for a chunk of blocks at a time
 and broadcast over any stacked right-hand sides.  The node scalars and
 step coefficients are computed and checked once per pass.  Below
 SOE_MIN_M intervals the history is the exact L1 sum, the block's kernel
-rows summed by parts, O(M^2); from SOE_MIN_M on it is a sum of
-exponentials on a state carried across blocks (Jiang, Zhang, Zhang &
-Zhang, Commun. Comput. Phys. 21, 2017), O(M Q) for at most
+increment rows against the stored slopes, O(M^2); from SOE_MIN_M on it is
+a sum of exponentials on a state carried across blocks (Jiang, Zhang,
+Zhang & Zhang, Commun. Comput. Phys. 21, 2017), O(M Q) for at most
 Q = (33 + ln(45 T / h_min)) / 0.3 terms, 243 at M = 8192 and r = 4.
 Either way in M / STEP_BLOCK Python iterations.
 """
@@ -33,8 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError, _real
-from .fracops import (OrderFunction, TimeMesh, _check_orders, _kernel_increments, _kernel_values,
-                      polyval)
+from .fracops import OrderFunction, TimeMesh, _check_orders, _kernel_increments, polyval
 from .spectral import SpectralBasis, analyze, analyze_function, sobolev_norm
 
 STEP_BLOCK = 16  # nodes per block in step_modes
@@ -177,14 +176,11 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     the first failing mode there, is reported.  Returns (..., N, M+1).
 
     The nodes are stepped STEP_BLOCK at a time.  Per block, the history over
-    the m slopes from before it is summed by parts,
-    sum_{j=1..m} (p_{j-1} - p_j) s_j = sum_{j=0..m} p_j g_j with
-    g_j = s_{j+1} - s_j (s_0 = 0) for j < m and g_m = -s_m: one
-    matrix-vector product per right-hand side on the block's kernel values
-    (fracops._kernel_values, in one work buffer).  The identity is exact in
-    real arithmetic, so only rounding differs from the increment form, and
-    needs no a_n = 0 case: p_j is then t_n - t_j, whose differences are the
-    steps h_j.  The block's own equations form the lower-triangular system
+    the m slopes from before it is one matrix-vector product per right-hand
+    side, the block's increment rows (fracops._kernel_increments, in two
+    work buffers) against the stored slopes s_1..s_m.  At a_n = 0 the
+    increments are the steps h_j, so that order needs no case of its own.
+    The block's own equations form the lower-triangular system
     (T0 + lam_i I) u = r_i with T0 independent of the mode.  Its inverses,
     one per entry of lam, come from _block_tables CHUNK_INVERSES // N blocks
     at a time; one broadcast matmul applies them to every right-hand side.
@@ -253,8 +249,8 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
         P = np.stack((lw, a_n - 1.0, t[1:] - t[np.arange(M) // B * B]), axis=1)
         sx = np.stack((np.ones(s.size), s, -x))
     else:
-        p = np.empty((B, M))  # one block's kernel rows
-        g = np.zeros(u.shape)  # g_0..g_m of the sum by parts, g_m = -s_m
+        p, inc = np.empty((B, M)), np.empty((B, M))  # one block's kernel and increment rows
+        S = np.empty((*u0.shape, M))  # the slopes s_1..s_M, filled block by block
     hist, rhs = np.empty((*u0.shape, B, 1)), np.empty((*u0.shape, B, 1))
     done = 0  # blocks covered by the current chunk's tables
     for q, first in enumerate(range(1, M + 1, B)):
@@ -275,8 +271,9 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
             np.matmul(np.exp(np.dot(P[blk], sx[:, :Q])), Y[..., :Q, None], out=hist[..., :b, :])
             hist[..., :b, :] += c[blk, None] * (u[..., m, None, None] - u[..., 0, None, None])
         else:
-            rows = np.subtract(t[first : last + 1, None], t[: m + 1], out=p[:b, : m + 1])
-            np.matmul(_kernel_values(rows, a_n[blk]), g[..., : m + 1, None], out=hist[..., :b, :])
+            gaps = np.subtract(t[first : last + 1, None], t[: m + 1], out=p[:b, : m + 1])
+            rows = _kernel_increments(gaps, a_n[blk], inc[:b, :m])
+            np.matmul(rows, S[..., :m, None], out=hist[..., :b, :])
         r = np.multiply(chunk[0][q - start], u[..., m, None, None], out=rhs[..., :b, :])
         r -= np.multiply(k_gam[blk, None], hist[..., :b, :], out=hist[..., :b, :])
         if forcing is not None:
@@ -289,9 +286,7 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
             Y[..., :Q] *= e[0]
             Y[..., None, :Q] -= slopes[..., None, :] @ e[1:]
         else:
-            g[..., m] += slopes[..., 0]  # g_m held -s_m
-            np.subtract(slopes[..., 1:], slopes[..., :-1], out=g[..., m + 1 : last])
-            np.subtract(0.0, slopes[..., -1], out=g[..., last])  # -s_last, until the next block
+            S[..., blk] = slopes
     if not np.all(np.isfinite(u)):
         raise NumericalError("trajectory contains non-finite values")
     return u

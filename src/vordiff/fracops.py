@@ -199,20 +199,15 @@ def _check_orders(a):
         raise DomainError(f"order value {a[~ok][0]} outside [0, 1)")
 
 
-def _kernel_values(p, a) -> np.ndarray:
-    """The L1 kernel values p_j = (t_n - t_j)^(1-a_n), in place of the gaps
-    t_n - t_j (clipped at 0) in p, one row per node n with its order in a;
-    returns p.  A constant order gives a Python-float exponent, so numpy's
-    fast scalar paths, such as sqrt at a = 0.5, apply."""
-    p **= float(1.0 - a.flat[0]) if (a == a.flat[0]).all() else (1.0 - a)[..., None]
-    return p
-
-
 def _kernel_increments(p, a, inc) -> np.ndarray:
     """The L1 increments p_{j-1} - p_j into inc, shared by every builder of
-    increment rows; p and a are as for _kernel_values over consecutive
-    nodes j, and p becomes the kernel values.  Returns inc."""
-    return np.subtract(_kernel_values(p, a)[..., :-1], p[..., 1:], out=inc)
+    increment rows.  p holds the gaps t_n - t_j (clipped at 0) over
+    consecutive nodes j, one row per node n with its order in a, and becomes
+    the kernel values p_j = (t_n - t_j)^(1-a_n).  A constant order gives a
+    Python-float exponent, so numpy's fast scalar paths, such as sqrt at
+    a = 0.5, apply.  Returns inc."""
+    p **= float(1.0 - a.flat[0]) if (a == a.flat[0]).all() else (1.0 - a)[..., None]
+    return np.subtract(p[..., :-1], p[..., 1:], out=inc)
 
 
 def l1_weights(mesh: TimeMesh, n: int, alpha_n: float) -> np.ndarray:

@@ -119,10 +119,9 @@ class TestSolveMode:
         # the coefficient of lam = 1 is the first to fail while lam = 4 passes
         mesh = TimeMesh(1.0, 64, 1.0)
         rows = []
-        values = vordiff.forward._kernel_values
-        monkeypatch.setattr(
-            vordiff.forward, "_kernel_values", lambda *args: rows.append(args) or values(*args)
-        )
+        increments = vordiff.forward._kernel_increments
+        monkeypatch.setattr(vordiff.forward, "_kernel_increments",
+                            lambda *args: rows.append(args) or increments(*args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=r"at node 33 \(.*, lam = 1, "):
@@ -145,16 +144,16 @@ class TestSolveMode:
             "order_negative": dict(a=np.r_[np.full(8, 0.5), -0.1]),
         }[bad])
         rows = []
-        values = vordiff.forward._kernel_values
-        monkeypatch.setattr(
-            vordiff.forward, "_kernel_values", lambda *args: rows.append(args) or values(*args)
-        )
+        increments = vordiff.forward._kernel_increments
+        monkeypatch.setattr(vordiff.forward, "_kernel_increments",
+                            lambda *args: rows.append(args) or increments(*args))
         with pytest.raises(DomainError):
             step_modes(mesh, inputs["a"], inputs["k"], [1.0, 4.0], inputs["u0"], inputs["forcing"])
         assert rows == []
-        # the patched builder sees every block of a valid call
+        # the patched builder sees every block's history rows of a valid call,
+        # and the band of each of its two table builds (see the next test)
         step_modes(TimeMesh(1.0, 33, 1.0), np.full(34, 0.5), np.ones(34), [1.0, 4.0], [1.0, 0.5])
-        assert len(rows) == -(-33 // STEP_BLOCK)
+        assert len(rows) == -(-33 // STEP_BLOCK) + 2
 
     @pytest.mark.parametrize("bad", ["u0", "forcing", "order_one", "order_negative", "a_short",
                                      "coefficient"])
@@ -227,6 +226,17 @@ def test_step_modes_matches_weight_row_stepper_m8192(coeffs):
     got = step_modes(mesh, a, k, lam, u0)
     want = reference_step_modes(mesh, a, k, lam, u0)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("M, r", [(1024, 8.0), (1024, 10.0), (1024, 12.0), (SOE_MIN_M - 1, 12.0)],
+                         ids=["steep_r8", "steep_r10", "steep_r12", "steep_r12_below_soe"])
+def test_exact_history_on_steep_grading(M, r):
+    # r = (2 - a) / a resolves t^a at a(0) = a, and r > 6 below a(0) = 0.29;
+    # the exact history keeps the gate however small h_1 / t_n gets
+    mesh = TimeMesh(1.0, M, r)
+    a, k, lam, u0 = np.full(M + 1, 0.5), np.ones(M + 1), [1.0, 4.0], [1.0, 0.5]
+    want = reference_step_modes(mesh, a, k, lam, u0)
+    assert np.abs(step_modes(mesh, a, k, lam, u0) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("forced", [False, True])
