@@ -29,8 +29,13 @@ SENSITIVITY_BLOCK = 64  # nodes per weight block in order_sensitivities
 
 
 def polyval(coeffs, t):
-    """Evaluate sum_j coeffs[j] * t**j for scalar or array t."""
-    return np.polynomial.polynomial.polyval(t, np.asarray(coeffs, dtype=float))
+    """Evaluate sum_j coeffs[j] * t**j for scalar or array t, by Horner's
+    rule in the operation order of numpy.polynomial's polyval."""
+    c = np.asarray(coeffs, dtype=float)
+    v = c[-1] + t * 0
+    for cj in c[-2::-1]:
+        v = cj + v * t
+    return v
 
 
 def order_range(coeffs, T):
@@ -50,7 +55,7 @@ def order_range(coeffs, T):
     slope = j * c[1:] * T**j  # derivative coefficients in s = t / T
     size = np.abs(slope)
     big = np.flatnonzero(size > np.finfo(float).eps * size.max(initial=0.0))
-    s = np.polynomial.polynomial.polyroots(slope[: big[-1] + 1]) if big.size else []
+    s = np.roots(slope[big[-1] :: -1]) if big.size else []
     vals = polyval(c, np.concatenate(([0.0, T], T * np.clip(np.real(s), 0.0, 1.0))))
     return float(vals.min()), float(vals.max())
 

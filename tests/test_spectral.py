@@ -203,6 +203,27 @@ def test_cli_import_does_not_load_scipy_integrate():
     assert out.split() == ["False", "[]"]
 
 
+def test_cli_forward_does_not_load_numpy_polynomial(tmp_path):
+    # numpy < 2 imports numpy.polynomial with numpy itself: there only a
+    # load by vordiff would count, and none can be seen
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("model.K = 1.0\nmodel.L = 3.141592653589793\nmodel.T = 1.0\n"
+                   "model.k_coeffs = 1.0\nmodel.alpha_coeffs = 0.3, 0.2\n"
+                   "model.alpha_star = 0.95\nmodel.u0 = parabola\nmesh.M = 16\nbasis.N = 2\n")
+    argv = ["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys, numpy; before = 'numpy.polynomial' in sys.modules; "
+        f"from vordiff.cli import main; print(main({argv!r}), "
+        "before or 'numpy.polynomial' not in sys.modules)"
+    )
+    src = pathlib.Path(vordiff.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.split()[-2:] == ["0", "True"]
+
+
 def test_orthonormality_on_default_grid():
     basis = SpectralBasis(1.0, 1.0, 32)
     npts = default_grid_points(32)
