@@ -1,7 +1,8 @@
 """Command-line driver: forward solve, data synthesis, inversion,
 regularity diagnosis, and uniqueness scans, all configured from one file.
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration/input error.
+Exit codes: 0 success, 1 numerical failure (a floating-point overflow,
+division by zero or invalid operation among them), 2 configuration/input error.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def run_synth(cfg: RunConfig, args):
 
 
 def run_invert(cfg: RunConfig, args):
+    if cfg.k_coeffs[0] == 0.0:  # the library's rule, for the config alone
+        raise ConfigError("model.k_coeffs: order recovery requires k(0) != 0", args.config)
     model = cfg.model_spec(with_order=False)
     try:
         obs = csvio.read_observations_csv(args.obs)
@@ -133,7 +136,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         os.makedirs(cfg.out_dir, exist_ok=True)
-        args.run(cfg, args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args.run(cfg, args)
     except ConfigError as exc:
         print(f"vordiff: config error: {exc}", file=sys.stderr)
         return 2

@@ -206,11 +206,11 @@ def _check_orders(a):
 
 def _kernel_increments(p, a, inc) -> np.ndarray:
     """The L1 increments p_{j-1} - p_j into inc, shared by every builder of
-    increment rows.  p holds the gaps t_n - t_j (clipped at 0) over
-    consecutive nodes j, one row per node n with its order in a, and becomes
-    the kernel values p_j = (t_n - t_j)^(1-a_n).  A constant order gives a
-    Python-float exponent, so numpy's fast scalar paths, such as sqrt at
-    a = 0.5, apply.  Returns inc."""
+    increment rows: the step's, l1_weights and _sensitivity_weight_rows.  p
+    holds the gaps t_n - t_j (clipped at 0) over consecutive nodes j, one row
+    per node n with its order in a, and becomes the kernel values p_j =
+    (t_n - t_j)^(1-a_n).  A constant order gives a Python-float exponent, so
+    numpy's fast scalar paths, such as sqrt at a = 0.5, apply.  Returns inc."""
     p **= float(1.0 - a.flat[0]) if (a == a.flat[0]).all() else (1.0 - a)[..., None]
     return np.subtract(p[..., :-1], p[..., 1:], out=inc)
 
@@ -271,22 +271,16 @@ def _sensitivity_weight_rows(mesh: TimeMesh, n, a) -> np.ndarray:
     index in n.  They are the a-derivative of the L1 increment row
     (p_{j-1} - p_j) / Gamma(2-a), p_j = (t_n - t_j)^(1-a) (0 for t_j >= t_n):
     s_j = (psi(2-a) (p_{j-1} - p_j) - (q_{j-1} - q_j)) / Gamma(2-a) with
-    q_j = p_j ln(t_n - t_j).  psi(2-a) = _digamma(1-a) + 1/(1-a) keeps
-    _digamma on (0, 1]; Gamma(2-a) is one math.gamma value per row.
+    q_j = p_j ln(t_n - t_j); p and its increments come from _kernel_increments.
+    psi(2-a) = _digamma(1-a) + 1/(1-a) keeps _digamma on (0, 1].
     """
     _check_orders(a)
-    oma = 1.0 - a
-    t = mesh.nodes
-    tau = np.maximum(t[n, None] - t[: n.max() + 1], 0.0)  # zero for j >= n
-    p = tau ** oma[:, None]
-    tau[tau <= 0.0] = 1.0
-    q = np.multiply(p, np.log(tau, out=tau), out=tau)  # 0 where p is
-    gamma = np.fromiter(map(math.gamma, 2.0 - a), float, a.size)
-    psi = _digamma(oma) + 1.0 / oma
-    w = p[:, :-1] - p[:, 1:]
-    w *= psi[:, None]
+    tau = np.maximum(mesh.nodes[n, None] - mesh.nodes[: n.max() + 1], 0.0)  # zero for j >= n
+    w = _kernel_increments(p := tau.copy(), a, np.empty((n.size, n.max())))
+    q = np.multiply(p, np.log(tau, out=tau, where=tau > 0.0), out=tau)  # 0 where p is
+    w *= (_digamma(1.0 - a) + 1.0 / (1.0 - a))[:, None]
     w -= np.subtract(q[:, :-1], q[:, 1:], out=p[:, :-1])  # p is spent
-    return np.divide(w, gamma[:, None], out=w)
+    return np.divide(w, np.fromiter(map(math.gamma, 2.0 - a), float, a.size)[:, None], out=w)
 
 
 def order_sensitivities(mesh: TimeMesh, a, slopes) -> np.ndarray:

@@ -240,15 +240,13 @@ class _Inversion:
         self.phi = basis.design_matrix(obs.x_points)
 
     def solve(self, alpha_coeffs, tables=None):
-        """(alpha(t_n), u_i(t_n)) of a candidate order; u is (N, M+1).
+        """(alpha(t_n), u_i(t_n), misfit) of a candidate order: u is (N, M+1)
+        and the misfit is u(x_j, t_m) - obs values, stacked in x-major order.
         A dict given as tables keeps the step tables for jacobian."""
         cand = OrderFunction(alpha_coeffs, self.config.alpha_star, self.model.T)
         a = cand(self.mesh.nodes)
-        return a, step_modes(self.mesh, a, self.k, self.lam, self.u0, tables=tables)
-
-    def residual(self, u):
-        """Stacked misfit of a trajectory u, x-major order."""
-        return (self.phi @ u[:, 1:] - self.obs.values).ravel()
+        u = step_modes(self.mesh, a, self.k, self.lam, self.u0, tables=tables)
+        return a, u, (self.phi @ u[:, 1:] - self.obs.values).ravel()
 
     def jacobian(self, n_coeffs, a, u, tables=None):
         """Residual derivative for an order with n_coeffs coefficients,
@@ -269,8 +267,7 @@ def residual(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
     The candidate forward solve runs on the mesh spanned by the observation
     times (plus t = 0), independent of how the data was generated.
     """
-    inv = _Inversion(obs, model, config)
-    return inv.residual(inv.solve(alpha_coeffs)[1])
+    return _Inversion(obs, model, config).solve(alpha_coeffs)[2]
 
 
 def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: InversionConfig):
@@ -284,7 +281,7 @@ def jacobian(alpha_coeffs, obs: ObservationSet, model: ModelSpec, config: Invers
     The coefficient columns are stacked right-hand sides of one step_modes call.
     """
     inv = _Inversion(obs, model, config)
-    return inv.jacobian(len(alpha_coeffs), *inv.solve(alpha_coeffs))
+    return inv.jacobian(len(alpha_coeffs), *inv.solve(alpha_coeffs)[:2])
 
 
 def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig) -> InversionResult:
@@ -321,8 +318,7 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     prior = c.copy()
     root_mu = np.sqrt(config.tikhonov)
 
-    a, u = inv.solve(c, tables := {})
-    res = inv.residual(u)
+    a, u, res = inv.solve(c, tables := {})
     r = np.concatenate((res, root_mu * (c - prior)))
     history = [float(np.linalg.norm(res))]
     stop_reason = "max_iter"
@@ -332,8 +328,7 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
         step = 1.0
         for _ in range(STEP_HALVINGS):
             cand = project_admissible(c + step * delta, model.T, config.alpha_star)
-            cand_a, cand_u = inv.solve(cand, cand_tables := {})
-            cand_res = inv.residual(cand_u)
+            cand_a, cand_u, cand_res = inv.solve(cand, cand_tables := {})
             cand_r = np.concatenate((cand_res, root_mu * (cand - prior)))
             if cand_r @ cand_r <= r @ r:
                 break
@@ -367,5 +362,5 @@ def uniqueness_scan(obs: ObservationSet, model: ModelSpec, grid, config: Inversi
     if not candidates:
         raise DomainError("candidate grid is empty")
     inv = _Inversion(obs, model, config)
-    misfits = [float(np.linalg.norm(inv.residual(inv.solve(cand)[1]))) for cand in candidates]
+    misfits = [float(np.linalg.norm(inv.solve(cand)[2])) for cand in candidates]
     return ScanResult(candidates=candidates, misfits=misfits)

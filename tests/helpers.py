@@ -104,11 +104,11 @@ def reference_sensitivity_rows(mesh, n, a):
     oma = 1.0 - a
     t = mesh.nodes
     tau = np.maximum(t[n, None] - t[: n.max() + 1], 0.0)
-    p = tau ** oma[:, None]
+    inc = _kernel_increments(p := tau.copy(), a, np.empty((n.size, n.max())))
     q = p * np.log(np.where(tau > 0.0, tau, 1.0))
     gam = np.fromiter(map(math.gamma, 2.0 - a), float, a.size)
     psi = _digamma(oma) + 1.0 / oma
-    return (psi[:, None] * (p[:, :-1] - p[:, 1:]) - (q[:, :-1] - q[:, 1:])) / gam[:, None]
+    return (psi[:, None] * inc - (q[:, :-1] - q[:, 1:])) / gam[:, None]
 
 
 def richardson_fd(f, x, h=1e-5):

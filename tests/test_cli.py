@@ -104,6 +104,27 @@ class TestForwardCommand:
         assert main(["forward", "--config", cfg, "--out", cfg]) == 2
         assert capsys.readouterr().err.startswith("vordiff: i/o error: [Errno 17] File exists")
 
+    def test_overflow_exit_1_without_nan(self, tmp_path, capsys):
+        # lambda^gamma leaves the float range at K = 1e300 and gamma = 3
+        text = TWIN_CFG.replace("model.K = 1.0", "model.K = 1e300") + "diagnostics.gamma = 3\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vordiff: numerical failure: overflow") and err.count("\n") == 1
+        assert not any("nan" in f.read_text() for f in out.iterdir())
+
+    def test_boundary_rule_is_scale_free(self, tmp_path):
+        # mode 1's sample at x = L is sqrt(2/L) sin(pi) = 1.7e-12 at L = 1e-8,
+        # 1.2e-16 of its largest sample
+        text = (TWIN_CFG.replace("model.L = 3.141592653589793", "model.L = 1e-8")
+                .replace("model.K = 1.0", "model.K = 1e-16").replace("parabola", "mode1"))
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
+        t, i, u = csvio.read_modes_csv(out / "modes.csv")
+        assert np.isfinite(u).all() and u[(t == 0.0) & (i == 1)] == pytest.approx(1.0, abs=1e-9)
+
 
 class TestSynthInvertScanDiagnose:
     def test_full_workflow(self, tmp_path):
@@ -193,6 +214,19 @@ class TestSynthInvertScanDiagnose:
                      str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert cfg in err and "ansatz degree 9" in err
+
+    def test_invert_zero_k0_exit_2(self, tmp_path, capsys):
+        # observations of a k = 1 model, inverted on a model with k(t) = t
+        cfg = write_cfg(tmp_path, TWIN_CFG)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        k0 = write_cfg(tmp_path, TWIN_CFG.replace("model.k_coeffs = 1.0", "model.k_coeffs = 0.0, 1.0"),
+                       name="k0.cfg")
+        assert main(["invert", "--config", k0, "--obs", str(out / "observations.csv"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"vordiff: config error: {k0}: model.k_coeffs: order recovery requires k(0) != 0\n")
+        assert not (out / "inversion.csv").exists()
 
     def test_invert_missing_obs_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, TWIN_CFG)

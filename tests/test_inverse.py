@@ -673,7 +673,7 @@ def test_jacobian_reused_blocks_bitwise(monkeypatch, coeffs):
     cfg = InversionConfig(degree=1, n_modes=16, init_coeffs=(0.5,))
     inv = vordiff.inverse._Inversion(obs, model, cfg)
     tables = {}
-    a, u = inv.solve(coeffs, tables)
+    a, u, _ = inv.solve(coeffs, tables)
     built = []
     block_tables = vordiff.forward._block_tables
     monkeypatch.setattr(

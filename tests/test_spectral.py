@@ -93,6 +93,14 @@ class TestAnalyze:
         with pytest.raises(DomainError, match="Dirichlet"):
             analyze(basis, bad)
 
+    def test_boundary_rule_scales_with_samples(self):
+        basis = SpectralBasis(1.0, 1.0, 2)
+        with pytest.raises(DomainError, match="Dirichlet"):
+            analyze(basis, 1e-20 * np.linspace(0.5, 0.0, 4 * 2 + 3))
+        # sin(pi) = 1.2e-16 is rounding, whatever the amplitude
+        c = analyze(basis, 1e4 * np.sin(np.pi * np.linspace(0.0, 1.0, 4 * 2 + 3)))
+        assert c[0] > 0.0
+
     def test_too_few_points_rejected(self):
         basis = SpectralBasis(1.0, 1.0, 8)
         with pytest.raises(DomainError):
