@@ -97,6 +97,8 @@ class TestAnalyze:
         basis = SpectralBasis(1.0, 1.0, 2)
         with pytest.raises(DomainError, match="Dirichlet"):
             analyze(basis, 1e-20 * np.linspace(0.5, 0.0, 4 * 2 + 3))
+        with pytest.raises(DomainError, match="Dirichlet"):  # an infinite end fails too
+            analyze(basis, np.r_[np.zeros(4 * 2 + 2), np.inf])
         # sin(pi) = 1.2e-16 is rounding, whatever the amplitude
         c = analyze(basis, 1e4 * np.sin(np.pi * np.linspace(0.0, 1.0, 4 * 2 + 3)))
         assert c[0] > 0.0
