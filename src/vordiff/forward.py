@@ -20,9 +20,9 @@ step coefficients are computed and checked once per pass.  Below
 SOE_MIN_M intervals the history is the exact L1 sum, the block's kernel
 increment rows against the stored slopes, O(M^2); from SOE_MIN_M on it is
 a sum of exponentials on a state carried across blocks (Jiang, Zhang,
-Zhang & Zhang, Commun. Comput. Phys. 21, 2017), O(M Q) for at most
-Q = (33 + ln(45 T / h_min)) / 0.3 terms, 243 at M = 8192 and r = 4.
-Either way in M / STEP_BLOCK Python iterations.
+Zhang & Zhang, Commun. Comput. Phys. 21, 2017) from one exponent table
+per block, O(M Q) for at most Q = (33 + ln(45 T / h_min)) / 0.3 terms, 243
+at M = 8192 and r = 4.  Either way in M / STEP_BLOCK Python iterations.
 """
 
 from __future__ import annotations
@@ -197,12 +197,13 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     p_{j-1} - p_j = (1 - a) int tau^-a over (t_{j-1}, t_j), the history is
     (1 - a) (c(a) (u_m - u_0) + sum_l v_l e^(-x_l (t_n - t_m)) Y_l) with
     v_l = SOE_STEP x_l^(a-1) / Gamma(a), on the states Y_l = sum_{j<=m} s_j
-    (e^(-x_l (t_m - t_j)) - e^(-x_l (t_m - t_{j-1}))): each block decays
-    and extends them by one table of exponentials, one gemv per right-hand
-    side.  A term with x_l min_{j>m} h_j > SOE_CUT stays below e^-45 from
-    block m on and is dropped.  The weights ride in the exponent, so a = 0
-    leaves exactly u_m - u_0.  Against the exact sum: 5e-16 to 3e-15 of
-    max|u|.
+    (e^(-x_l (t_m - t_j)) - e^(-x_l (t_m - t_{j-1}))).  Per block, one
+    exponent product from a table built before the loop, and one exp, give
+    the history terms and the decays that carry Y to the block's last node,
+    where its slopes extend Y by one gemv per right-hand side.  A term with
+    x_l min_{j>m} h_j > SOE_CUT stays below e^-45 from block m on and is
+    dropped.  The weights ride in the exponent, so a = 0 leaves exactly
+    u_m - u_0.  Against the exact sum: 5e-16 to 3e-15 of max|u|.
     """
     a, k = np.asarray(a, dtype=float), np.asarray(k, dtype=float)
     lam, u0 = np.asarray(lam, dtype=float), np.asarray(u0, dtype=float)
@@ -217,7 +218,8 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
     if np.any(lam <= 0.0):
         raise DomainError(f"eigenvalue must be positive, got {lam[lam <= 0.0][0]}")
     t, h, a_n, k_n = mesh.nodes, mesh.spacing, a[1:], k[1:]
-    gam = np.fromiter(map(math.gamma, 2.0 - a_n), float, M)
+    gam = (math.gamma(2.0 - a_n[0]) if (a_n == a_n[0]).all()
+           else np.fromiter(map(math.gamma, 2.0 - a_n), float, M))
     k_gam = k_n / gam
     d = 1.0 / h + k_gam * h**-a_n
     coef = d[:, None] + lam  # (M, N) step coefficients, node-major
@@ -235,7 +237,7 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
         raise DomainError("step tables were built for another mesh, order, k or eigenvalues")
     u = np.empty((*u0.shape, M + 1))
     u[..., 0] = u0
-    B = min(STEP_BLOCK, M)
+    B, kg = min(STEP_BLOCK, M), k_gam[:, None]
     soe = M >= SOE_MIN_M and mesh.T < 1e280 and h.min() > 1e-295  # see the docstring
     if soe:
         s = np.arange(-33.0 - math.log(mesh.T), math.log(SOE_CUT / h.min()), SOE_STEP)
@@ -245,9 +247,15 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
         w = SOE_STEP / math.pi * np.sin(np.pi * np.minimum(a_n, 1.0 - a_n)) * gam
         c = np.divide(w * np.exp(s[0] * a_n), np.expm1(SOE_STEP * a_n), np.ones(M), where=a_n > 0)
         lw = np.log(w, out=np.full(M, -1e300), where=w > 0)  # a = 0: e^-1e300 = 0, no term
-        # ln w_n + (a_n - 1) s_l - (t_n - t_m) x_l for node n in the block after t_m
-        P = np.stack((lw, a_n - 1.0, t[1:] - t[np.arange(M) // B * B]), axis=1)
-        sx = np.stack((np.ones(s.size), s, -x))
+        # row i: (ln w_n, a_n - 1, t_n - t_m), n = m + 1 + i; row B + i: (0, 0, t_last - t_{m+i})
+        ms = np.arange(0, M, B)
+        j = np.minimum(ms[:, None] + np.arange(B + 1), M)  # nodes m..m + B, none past M
+        E = np.zeros((ms.size, 2 * B + 1, 3))
+        E[:, :B, 0], E[:, :B, 1] = lw[j[:, 1:] - 1], a[j[:, 1:]] - 1.0
+        E[:, :B, 2], E[:, B:, 2] = t[j[:, 1:]] - t[ms, None], t[j[:, -1:]] - t[j]
+        Qs = np.searchsorted(x, SOE_CUT / cut[ms], "right").tolist()  # past Q, each < e^-45
+        sx, cc, hc = np.stack((np.ones(s.size), s, -x)), c[:, None], h[:, None]
+        S, sx2 = np.empty((*u0.shape, B)), sx[2:]  # one block's slopes
     else:
         p, inc = np.empty((B, M)), np.empty((B, M))  # one block's kernel and increment rows
         S = np.empty((*u0.shape, M))  # the slopes s_1..s_M, filled block by block
@@ -266,27 +274,29 @@ def step_modes(mesh: TimeMesh, a, k, lam, u0, forcing=None, tables=None) -> np.n
                     tables[first] = chunk
         # history before the block: numpy runs a stacked matmul as one gemv
         # per right-hand side, so no sum depends on the others (a GEMM's would)
+        hb, um = hist[..., :b, :], u[..., m, None, None]
         if soe:
-            Q = np.searchsorted(x, SOE_CUT / cut[m], "right")  # past Q, e^(-x_l (t_n - t_m)) < e^-45
-            np.matmul(np.exp(np.dot(P[blk], sx[:, :Q])), Y[..., :Q, None], out=hist[..., :b, :])
-            hist[..., :b, :] += c[blk, None] * (u[..., m, None, None] - u[..., 0, None, None])
+            Q = Qs[q]
+            ex = np.exp(np.dot(E[q], sx[:, :Q]))  # the history's terms, then the decays
+            np.matmul(ex[:b], Y[..., :Q, None], out=hb)
+            hb += cc[blk] * (um - u[..., 0, None, None])
         else:
             gaps = np.subtract(t[first : last + 1, None], t[: m + 1], out=p[:b, : m + 1])
             rows = _kernel_increments(gaps, a_n[blk], inc[:b, :m])
-            np.matmul(rows, S[..., :m, None], out=hist[..., :b, :])
-        r = np.multiply(chunk[0][q - start], u[..., m, None, None], out=rhs[..., :b, :])
-        r -= np.multiply(k_gam[blk, None], hist[..., :b, :], out=hist[..., :b, :])
+            np.matmul(rows, S[..., :m, None], out=hb)
+        r = np.multiply(chunk[0][q - start], um, out=rhs[..., :b, :])
+        r -= np.multiply(kg[blk], hb, out=hb)
         if forcing is not None:
             r += forcing[..., first : last + 1, None]
-        u[..., first : last + 1] = np.matmul(chunk[1][q - start], r)[..., 0]
-        slopes = (u[..., first : last + 1] - u[..., m:last]) / h[blk]
+        np.matmul(chunk[1][q - start], r, out=u[..., first : last + 1, None])
+        slopes = S[..., :b] if soe else S[..., blk]
+        np.subtract(u[..., first : last + 1], u[..., m:last], out=slopes)
+        slopes /= h[blk]
         if soe:  # Y_l at t_last: decayed from t_m, plus the block's slopes
-            e = np.exp(np.dot(t[last] - t[m : last + 1, None], sx[2:, :Q]))
-            e[1:] *= np.expm1(np.dot(h[blk, None], sx[2:, :Q]))
+            e = ex[B : B + b + 1]
+            e[1:] *= np.expm1(np.dot(hc[blk], sx2[:, :Q]))
             Y[..., :Q] *= e[0]
             Y[..., None, :Q] -= slopes[..., None, :] @ e[1:]
-        else:
-            S[..., blk] = slopes
     if not np.all(np.isfinite(u)):
         raise NumericalError("trajectory contains non-finite values")
     return u

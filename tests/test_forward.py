@@ -404,6 +404,38 @@ def test_soe_history_on_explicit_nodes(coeffs):
     assert_soe_matches_weight_rows(mesh, *soe_case(mesh, coeffs, True))
 
 
+def jittered_mesh(M, seed):
+    h = np.random.default_rng(seed).uniform(0.2, 1.8, M)
+    return TimeMesh.from_nodes(np.concatenate(([0.0], np.cumsum(h) / h.sum())))
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("coeffs", [(0.5,), (0.3, 0.2)])
+@pytest.mark.parametrize("M", [2050, 2063], ids=["graded_last2", "explicit_last15"])
+def test_soe_history_on_short_last_blocks(M, coeffs, forced):
+    # a short last block of 2 or 15 nodes reads its history rows and its
+    # decay rows from the same padded exponent table as the full blocks
+    mesh = TimeMesh(1.0, M, 2.5) if M == 2050 else jittered_mesh(M, 33)
+    assert M % STEP_BLOCK in (2, 15)
+    assert_soe_matches_weight_rows(mesh, *soe_case(mesh, coeffs, forced))
+
+
+@pytest.mark.parametrize("M", [300, 2050])
+def test_constant_order_gamma_bitwise(M):
+    # a constant order takes Gamma(2 - a) from one math.gamma call: given as
+    # (0.5,) or as (0.5, 0.0) it steps bitwise alike, and an order that
+    # leaves 0.5 only at the last node, so that every node gets its own
+    # math.gamma, steps bitwise alike up to the short last block, whose
+    # tables are built alone
+    mesh = TimeMesh(1.0, M, 4.0)
+    k = 1.0 + 0.5 * mesh.nodes
+    const = step_modes(mesh, OrderFunction((0.5,), 0.95, 1.0)(mesh.nodes), k, SOE_LAM, SOE_U0)
+    a = OrderFunction((0.5, 0.0), 0.95, 1.0)(mesh.nodes)
+    assert np.array_equal(step_modes(mesh, a, k, SOE_LAM, SOE_U0), const)
+    a[-1], first = 0.4, M - M % STEP_BLOCK + 1
+    assert np.array_equal(step_modes(mesh, a, k, SOE_LAM, SOE_U0)[:, :first], const[:, :first])
+
+
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("kept", [False, True])
 def test_soe_history_stacked_rhs_bitwise(kept, forced):
