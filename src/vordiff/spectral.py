@@ -101,7 +101,12 @@ def sobolev_norm(basis: SpectralBasis, coeffs, gamma: float):
     c = np.asarray(coeffs, dtype=float)
     if c.ndim not in (1, 2) or c.shape[0] != basis.N:
         raise DomainError(f"coefficient shape {c.shape} does not match basis N = {basis.N}")
-    weight = basis.eigenvalues() ** gamma
+    with np.errstate(over="ignore", under="ignore"):
+        weight = (lam := basis.eigenvalues()) ** gamma
+    i = int(np.argmax((weight == 0.0) | (weight == np.inf)))  # the first weight out of range
+    if weight[i] in (0.0, np.inf):
+        raise DomainError(f"{'underflow' if weight[i] == 0.0 else 'overflow'}: lambda_i^gamma "
+                          f"leaves the float range at gamma = {gamma:g}, lambda_{i + 1} = {lam[i]:.6g}")
     cols = c[:, None] if c.ndim == 1 else c
     norms = np.sqrt(np.add.accumulate(weight[:, None] * cols**2)[-1])
     return float(norms[0]) if c.ndim == 1 else norms

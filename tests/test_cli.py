@@ -114,6 +114,22 @@ class TestForwardCommand:
         assert err.startswith("vordiff: numerical failure: overflow") and err.count("\n") == 1
         assert not any("nan" in f.read_text() for f in out.iterdir())
 
+    def test_overflow_names_gamma(self, tmp_path, capsys):
+        text = TWIN_CFG.replace("model.K = 1.0", "model.K = 1e300") + "diagnostics.gamma = 3\n"
+        assert main(["forward", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vordiff: numerical failure: overflow") and "gamma = 3" in err
+
+    def test_underflow_exit_1_names_gamma(self, tmp_path, capsys):
+        # lambda_1^3 = 1e-900 underflows to 0, which read as a zero initial datum
+        text = TWIN_CFG.replace("model.K = 1.0", "model.K = 1e-300") + "diagnostics.gamma = 3\n"
+        assert main(["forward", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vordiff: numerical failure: underflow") and err.count("\n") == 1
+        assert "gamma = 3" in err and "lambda_1 = 1e-300" in err
+
     def test_boundary_rule_is_scale_free(self, tmp_path):
         # mode 1's sample at x = L is sqrt(2/L) sin(pi) = 1.7e-12 at L = 1e-8,
         # 1.2e-16 of its largest sample

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -185,6 +186,17 @@ class TestSobolevNorm:
         basis = SpectralBasis(1.0, 1.0, 2)
         with pytest.raises(DomainError, match="gamma must be finite and >= 0"):
             sobolev_norm(basis, np.array([1.0, 0.0]), gamma)
+
+    @pytest.mark.parametrize("K, gamma, kind, i", [
+        (1e300, 3.0, "overflow", 1), (5e153, 2.0, "overflow", 2),  # lambda_2^2 = 4e308
+        (1e-300, 3.0, "underflow", 1), (1e-162, 2.0, "underflow", 1),  # lambda_2^2 = 1.6e-323
+    ])
+    def test_weight_outside_float_range_named(self, K, gamma, kind, i):
+        # lambda_i = K i^2 at L = pi: the first mode whose weight is inf or 0 is named
+        basis = SpectralBasis(K, np.pi, 2)
+        lam = basis.eigenvalues()[i - 1]
+        with pytest.raises(DomainError, match=rf"^{kind}: .*gamma = {gamma:g}.*lambda_{i} = {re.escape(f'{lam:.6g}')}$"):
+            sobolev_norm(basis, np.array([1.0, 1.0]), gamma)
 
     def test_leading_dimension_must_be_n(self):
         basis = SpectralBasis(1.0, 1.0, 3)
