@@ -404,18 +404,15 @@ def test_soe_history_on_explicit_nodes(coeffs):
     assert_soe_matches_weight_rows(mesh, *soe_case(mesh, coeffs, True))
 
 
-def jittered_mesh(M, seed):
-    h = np.random.default_rng(seed).uniform(0.2, 1.8, M)
-    return TimeMesh.from_nodes(np.concatenate(([0.0], np.cumsum(h) / h.sum())))
-
-
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("coeffs", [(0.5,), (0.3, 0.2)])
 @pytest.mark.parametrize("M", [2050, 2063], ids=["graded_last2", "explicit_last15"])
 def test_soe_history_on_short_last_blocks(M, coeffs, forced):
     # a short last block of 2 or 15 nodes reads its history rows and its
     # decay rows from the same padded exponent table as the full blocks
-    mesh = TimeMesh(1.0, M, 2.5) if M == 2050 else jittered_mesh(M, 33)
+    h = np.random.default_rng(33).uniform(0.2, 1.8, M)  # jittered steps for the explicit nodes
+    nodes = np.concatenate(([0.0], np.cumsum(h) / h.sum()))
+    mesh = TimeMesh(1.0, M, 2.5) if M == 2050 else TimeMesh.from_nodes(nodes)
     assert M % STEP_BLOCK in (2, 15)
     assert_soe_matches_weight_rows(mesh, *soe_case(mesh, coeffs, forced))
 
