@@ -195,7 +195,8 @@ class TestSobolevNorm:
         # lambda_i = K i^2 at L = pi: the first mode whose weight is inf or 0 is named
         basis = SpectralBasis(K, np.pi, 2)
         lam = basis.eigenvalues()[i - 1]
-        with pytest.raises(DomainError, match=rf"^{kind}: .*gamma = {gamma:g}.*lambda_{i} = {re.escape(f'{lam:.6g}')}$"):
+        msg = rf"^{kind}: .*gamma = {gamma:g}.*lambda_{i} = {re.escape(f'{lam:.6g}')}$"
+        with pytest.raises(DomainError, match=msg):
             sobolev_norm(basis, np.array([1.0, 1.0]), gamma)
 
     def test_leading_dimension_must_be_n(self):
