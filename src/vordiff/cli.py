@@ -8,6 +8,7 @@ division by zero or invalid operation among them), 2 configuration/input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -27,17 +28,10 @@ def _seed(text):
     return int(text)
 
 
-def _synthesize(cfg: RunConfig):
+def _synthesize(cfg: RunConfig, model):
     return synthesize_observations(
-        cfg.model_spec(),
-        (cfg.obs_a, cfg.obs_b),
-        cfg.obs_x_count,
-        cfg.mesh_M,
-        cfg.noise_level,
-        cfg.seed,
-        refine=cfg.synthesis_refine,
-        grading=cfg.mesh_r,
-        n_modes=cfg.basis_N,
+        model, (cfg.obs_a, cfg.obs_b), cfg.obs_x_count, cfg.mesh_M, cfg.noise_level, cfg.seed,
+        refine=cfg.synthesis_refine, grading=cfg.mesh_r, n_modes=cfg.basis_N,
     )
 
 
@@ -51,13 +45,14 @@ def run_forward(cfg: RunConfig, args):
 
 
 def run_synth(cfg: RunConfig, args):
-    csvio.write_observations_csv(os.path.join(cfg.out_dir, "observations.csv"), _synthesize(cfg))
+    obs = _synthesize(cfg, cfg.model_spec())
+    csvio.write_observations_csv(os.path.join(cfg.out_dir, "observations.csv"), obs)
 
 
 def run_invert(cfg: RunConfig, args):
     if cfg.k_coeffs[0] == 0.0:  # the library's rule, for the config alone
         raise ConfigError("model.k_coeffs: order recovery requires k(0) != 0", args.config)
-    model = cfg.model_spec(with_order=False)
+    model = cfg.model_spec()
     try:
         obs = csvio.read_observations_csv(args.obs)
         check_observations(obs, model)
@@ -92,10 +87,9 @@ def run_diagnose(cfg: RunConfig, args):
 
 
 def run_scan(cfg: RunConfig, args):
+    model = cfg.model_spec()  # one u0 read serves the synthesis and the scan
     grid = [(c0,) for c0 in cfg.scan_c0_grid]
-    scan = uniqueness_scan(
-        _synthesize(cfg), cfg.model_spec(with_order=False), grid, cfg.inversion_config()
-    )
+    scan = uniqueness_scan(_synthesize(cfg, model), model, grid, cfg.inversion_config())
     csvio.write_scan_csv(os.path.join(cfg.out_dir, "scan.csv"), scan)
 
 
@@ -110,6 +104,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built on the first main call, then reused: parse_args keeps no state
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="vordiff",
@@ -130,13 +125,13 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # config checks too
+            cfg = RunConfig.load(args.config)
+            if args.seed is not None:
+                cfg.seed = args.seed
+            if args.out is not None:
+                cfg.out_dir = args.out
+            os.makedirs(cfg.out_dir, exist_ok=True)
             args.run(cfg, args)
     except ConfigError as exc:
         print(f"vordiff: config error: {exc}", file=sys.stderr)

@@ -226,13 +226,13 @@ class RunConfig:
             raise ConfigError(f"bad u0 file: {exc}", fname) from None
         return u
 
-    def model_spec(self, with_order=True) -> ModelSpec:
+    def model_spec(self) -> ModelSpec:
         return ModelSpec(
             K=self.K,
             L=self.L,
             T=self.T,
             k_coeffs=self.k_coeffs,
-            alpha=self.order_function() if with_order else None,
+            alpha=self.order_function(),
             u0=self.u0_profile(),
         )
 

@@ -126,7 +126,7 @@ def read_observations_csv(path) -> ObservationSet:
     xs, xi = np.unique(data[:, 0], return_inverse=True)
     ts, ti = np.unique(data[:, 1], return_inverse=True)
     cells = xs.size * ts.size
-    if len(data) != cells or np.unique(xi * ts.size + ti).size != cells:
+    if len(data) != cells or np.bincount(xi * ts.size + ti, minlength=cells).max() != 1:
         raise DomainError("observations must hold each (x, t) cell exactly once")
     values = np.empty((xs.size, ts.size))
     values[xi, ti] = data[:, 2]

@@ -299,19 +299,19 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     Each trial step is solved once; the Jacobian at the accepted iterate
     reuses that trajectory and its step tables: the tangent pass steps
     every coefficient column on them.  stop_reason records why the loop ended:
-    "tolerance" (converged), "max_iter", or "no_descent" (every halving
-    of the step failed to decrease |r|^2).
-    Requires a nonzero initial datum and k(0) != 0, without which the data
-    does not determine the order.
+    "tolerance" (no coefficient moved more than gn_tolerance, or the misfit
+    fell by at most gn_tolerance times the first misfit, so data at any scale
+    stop alike), "max_iter", or "no_descent" (no halving decreased |r|^2).
+    Requires an initial datum with some mode coefficient nonzero, however
+    small, and k(0) != 0, without which the data does not determine the order.
     inverse_crime is None without a recorded synthesis mesh, else true
     exactly when that mesh is the inversion's, [0, *t_points].
     """
     if model.k_at(0.0) == 0.0:
         raise DomainError("order recovery requires k(0) != 0")
     inv = _Inversion(obs, model, config)
-    if float(np.abs(inv.u0).max()) <= 1e-12:
-        raise DomainError("order recovery requires a nonzero initial datum "
-                          "(no mode coefficient above threshold)")
+    if not inv.u0.any():
+        raise DomainError("order recovery requires a nonzero initial datum")
     c = np.zeros(config.degree + 1)
     c[: np.size(config.init_coeffs)] = config.init_coeffs
     c = project_admissible(c, model.T, config.alpha_star)
@@ -339,8 +339,8 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
         moved = float(np.abs(cand - c).max())
         c, a, u, r, tables = cand, cand_a, cand_u, cand_r, cand_tables
         history.append(float(np.linalg.norm(cand_res)))
-        rel_drop = abs(history[-2] - history[-1]) / max(1.0, history[-1])
-        if moved <= config.gn_tolerance or rel_drop <= config.gn_tolerance:
+        drop = abs(history[-2] - history[-1])
+        if moved <= config.gn_tolerance or drop <= config.gn_tolerance * history[0]:
             stop_reason = "tolerance"
             break
     crime = None

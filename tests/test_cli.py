@@ -1,16 +1,23 @@
+import argparse
+import contextlib
 import filecmp
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vordiff
 from helpers import OBSERVATION_EDITS, edit_observations
-from vordiff import csvio
+from vordiff import cli, csvio
 from vordiff.cli import main
 from vordiff.config import RunConfig
 
@@ -114,6 +121,17 @@ class TestForwardCommand:
         assert err.startswith("vordiff: numerical failure: overflow") and err.count("\n") == 1
         assert not any("nan" in f.read_text() for f in out.iterdir())
 
+    def test_overflow_while_loading_exit_1_one_line(self, tmp_path, capsys):
+        # the order check forms T^2 = 1e310 for 0.6 t/T - 0.3 (t/T)^2 at T = 1e155:
+        # a fault while the config loads is a numerical failure like one in
+        # the run, not a warning beside the message
+        text = (TWIN_CFG.replace("model.T = 1.0", "model.T = 1e155")
+                .replace("0.3, 0.2", "0.0, 6e-156, -3e-311"))
+        assert main(["forward", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vordiff: numerical failure: overflow") and err.count("\n") == 1
+
     def test_overflow_names_gamma(self, tmp_path, capsys):
         text = TWIN_CFG.replace("model.K = 1.0", "model.K = 1e300") + "diagnostics.gamma = 3\n"
         assert main(["forward", "--config", write_cfg(tmp_path, text),
@@ -168,6 +186,29 @@ class TestSynthInvertScanDiagnose:
         assert main(["scan", "--config", scan_cfg, "--out", str(out)]) == 0
         cands, misfits = csvio.read_scan_csv(out / "scan.csv")
         assert cands[int(np.argmin(misfits))] == (0.5,)
+
+    def test_rescaled_twin_inverts_like_the_twin(self, tmp_path):
+        # L = 1e-8 and K = 1e-16 / pi^2 keep the eigenvalues, and the parabola
+        # scales every value by (L / pi)^2 = 1.01e-17: neither the stop test
+        # nor the zero-datum rule may read that scale as a small datum
+        scale = (1e-8 / np.pi) ** 2
+        rescaled = (TWIN_CFG.replace("model.L = 3.141592653589793", "model.L = 1e-08")
+                    .replace("model.K = 1.0", f"model.K = {1e-16 / np.pi ** 2!r}"))
+        runs = []
+        for name, text in (("twin", TWIN_CFG), ("rescaled", rescaled)):
+            cfg = write_cfg(tmp_path, text, name=f"{name}.cfg")
+            out = tmp_path / name
+            assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+            assert main(["invert", "--config", cfg, "--obs", str(out / "observations.csv"),
+                         "--out", str(out)]) == 0
+            coeffs, meta = csvio.read_inversion_csv(out / "inversion.csv")
+            hist = csvio.read_residual_history_csv(out / "residual_history.csv")
+            runs.append((coeffs, meta, hist))
+        (twin, twin_meta, twin_hist), (coeffs, meta, hist) = runs
+        assert twin_meta["converged"] == meta["converged"] == "true"
+        assert twin_meta["iterations"] == meta["iterations"] == "7"
+        np.testing.assert_allclose(coeffs, twin, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(hist, np.multiply(twin_hist, scale), rtol=1e-9)
 
     def test_diagnose(self, tmp_path):
         cfg = write_cfg(tmp_path, TWIN_CFG.replace("mesh.M = 64", "mesh.M = 256"))
@@ -394,6 +435,71 @@ class TestDeterminism:
         assert "--seed" in err and "Traceback" not in err
 
 
+# Order shapes in s = t / T, so each stays admissible at any horizon T:
+# constant, zero, linear, the paper's smooth case alpha(0) = 0, and falling.
+ORDER_SHAPES = ((0.5,), (0.0,), (0.3, 0.2), (0.0, 0.6, -0.3), (0.9, -0.5))
+
+
+@st.composite
+def generated_configs(draw):
+    """A run config from the ranges of a seeded sweep over off-scale data:
+    K, L and T across most of the float range, k(t) with a zero, a negative
+    and a huge value, and meshes, bases, ansatz degrees and u0 profiles at
+    and past their limits."""
+    K, L, T = (10.0 ** draw(st.floats(lo, hi)) for lo, hi in ((-300, 300), (-8, 8), (-6, 250)))
+    shape = draw(st.sampled_from(ORDER_SHAPES))
+    alpha = [c * (1.0 / T) ** q for q, c in enumerate(shape)]
+    k = draw(st.sampled_from([(1.0,), (0.0,), (-1e3,), (1e300,), (0.0, 1.0), (2.0, -1.0 / T)]))
+    u0 = draw(st.sampled_from(["parabola", "mode1", "mode3", "file"]))
+    return {
+        "model.K": K, "model.L": L, "model.T": T,
+        "model.k_coeffs": ", ".join(map(repr, k)),
+        "model.alpha_coeffs": ", ".join(map(repr, alpha)),
+        "model.alpha_star": 0.95,
+        "model.u0": u0,
+        "mesh.M": draw(st.one_of(st.integers(1, 16), st.integers(64, 128))),
+        "mesh.r": draw(st.one_of(st.just("auto"), st.floats(1.0, 40.0))),
+        "basis.N": draw(st.integers(1, 16)),
+        "inversion.degree": draw(st.integers(0, 6)),
+        "inversion.max_iter": draw(st.integers(1, 8)),
+        "diagnostics.gamma": draw(st.sampled_from([0.0, 1.0, 3.0])),
+        "output.x_count": 5,
+    }
+
+
+def _csv_values_finite(path):
+    return re.search(r"\b(nan|inf)\b", path.read_text(), re.IGNORECASE) is None
+
+
+@given(entries=generated_configs())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_generated_configs_exit_cleanly(entries):
+    # every command either exits 0 with finite values in every CSV it writes,
+    # or exits 1 or 2 with a one-line message; it never raises
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        if entries["model.u0"] == "file":
+            x = np.linspace(0.0, entries["model.L"], 65)  # 4 N + 1 samples for N = 16
+            u = np.sin(np.pi * x / x[-1]) ** 3
+            rows = "".join(f"{xv!r},{uv!r}\n" for xv, uv in zip(x.tolist(), u.tolist()))
+            (tmp / "u0.csv").write_text("x,u0\n" + rows)
+            entries = {**entries, "model.u0": f"file:{tmp / 'u0.csv'}"}
+        cfg = write_cfg(tmp, "".join(f"{k} = {v}\n" for k, v in entries.items()))
+        obs = ["--obs", str(tmp / "synth" / "observations.csv")]
+        for command in ("forward", "synth", "invert", "diagnose", "scan"):
+            out = tmp / command
+            argv = [command, "--config", cfg, "--out", str(out)]
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv + obs if command == "invert" else argv)
+            message = err.getvalue()
+            if code == 0:
+                assert message == ""
+                assert all(_csv_values_finite(p) for p in out.glob("**/*.csv")), (command, entries)
+            else:
+                assert code in (1, 2), (command, code)
+                assert message.startswith("vordiff: ") and message.count("\n") == 1, message
+
+
 def test_every_command_runs_with_scipy_blocked(tmp_path):
     # None in sys.modules makes any import of scipy, lazy ones included, fail
     cfg = write_cfg(tmp_path, TWIN_CFG)
@@ -421,6 +527,25 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     assert sorted(p.name for p in blocked.iterdir()) == names and len(names) == 8
     for name in names:
         assert filecmp.cmp(blocked / name, unblocked / name, shallow=False), name
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    # each parse_args returns a fresh Namespace, so one parser serves every main call
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    cfg = write_cfg(tmp_path, TWIN_CFG)
+    codes = [main(["forward", "--config", cfg, "--out", str(tmp_path / out)])
+             for out in ("first", "second")]
+    cli._build_parser.cache_clear()  # later tests build an unpatched parser
+    assert codes == [0, 0] and built.count("vordiff") == 1
+    for name in ("solution.csv", "modes.csv", "stability.csv"):
+        assert filecmp.cmp(tmp_path / "first" / name, tmp_path / "second" / name, shallow=False)
 
 
 def test_module_entry_point_exit_codes(tmp_path):

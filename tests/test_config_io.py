@@ -193,7 +193,6 @@ class TestConfigParsing:
         assert isinstance(cfg.time_mesh(), TimeMesh)
         assert isinstance(cfg.model_spec(), ModelSpec)
         assert isinstance(cfg.inversion_config(), InversionConfig)
-        assert cfg.model_spec(with_order=False).alpha is None
 
     def test_empty_list_rejected(self):
         text = BASE.replace("model.k_coeffs = 1.0", "model.k_coeffs = ,")
@@ -376,10 +375,11 @@ class TestCsvRoundTrips:
         assert np.array_equal(back.t_points, canonical.t_points)
         assert np.array_equal(back.values, canonical.values)
 
-    @pytest.mark.parametrize("edit", ["missing", "repeated", "header_only"])
+    @pytest.mark.parametrize("edit", ["missing", "repeated", "header_only", "duplicated"])
     def test_observations_incomplete_grid_rejected(self, tmp_path, edit):
         head, rows = self._observation_lines(tmp_path)
-        rows = {"missing": rows[1:], "repeated": rows + rows[:1], "header_only": []}[edit]
+        rows = {"missing": rows[1:], "repeated": rows + rows[:1], "header_only": [],
+                "duplicated": rows[:-1] + rows[:1]}[edit]
         path = tmp_path / "broken.csv"
         path.write_text("\n".join(head + rows) + "\n")
         with pytest.raises(ValueError, match="exactly once|data row"):

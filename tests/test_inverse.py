@@ -398,6 +398,18 @@ class TestRecoverOrder:
         res = recover_order(obs, model, cfg)
         assert res.inverse_crime is True
 
+    def test_start_at_the_truth_stops_at_once(self):
+        # the inverse crime's data are the start's own trajectory: the first
+        # misfit is exactly 0, and the drop test relative to it stops the loop
+        model = template()
+        obs = synthesize_observations(
+            model.with_alpha(OrderFunction((0.5,), 0.95, 1.0)), WINDOW, 16, 64, 0.0, 0,
+            refine=1, n_modes=8,
+        )
+        res = recover_order(obs, model, InversionConfig(n_modes=8, init_coeffs=(0.5,)))
+        assert (res.stop_reason, res.iterations) == ("tolerance", 1)
+        assert res.residual_history == [0.0, 0.0]
+
     def test_recovered_order_admissible(self):
         obs = twin_observations((0.3, 0.2), t_count=128)
         cfg = InversionConfig(degree=1, n_modes=8)
