@@ -2,8 +2,8 @@
 
 Lists are comma-separated, comments start with ``#``, and parsing is
 strict: unknown keys, duplicate keys, and malformed lines are rejected
-with the offending line number.  Loading resolves every default to a
-concrete value, so parse -> emit -> parse is the identity.
+with the offending line number.  Each key is declared once, with its
+parser and default, and loading resolves every default to a concrete value.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .csvio import _read_table, fmt
+from .csvio import _read_table
 from .diagnostics import default_fit_window
 from .errors import ConfigError, DomainError, _count, _real
 from .forward import ModelSpec, default_grading
@@ -35,53 +35,41 @@ def _parse_grading(s):
     return None if s == "auto" else float(s)
 
 
-def _fmt_float_list(v):
-    return ", ".join(map(fmt, v))
-
-
-def _fmt_grading(v):
-    return "auto" if v is None else fmt(v)
-
-
-def _key(key, parse, fmt, default=MISSING):
-    """A field read from and emitted as ``key``; without a default it is required."""
-    return field(default=default, metadata={"key": key, "parse": parse, "fmt": fmt})
+def _key(key, parse, default=MISSING):
+    """A field read from ``key``; without a default it is required."""
+    return field(default=default, metadata={"key": key, "parse": parse})
 
 
 @dataclass(kw_only=True)
 class RunConfig:
-    # Field order is the emit order.  None defaults are resolved at load.
-    K: float = _key("model.K", float, fmt)
-    L: float = _key("model.L", float, fmt)
-    T: float = _key("model.T", float, fmt)
-    k_coeffs: tuple = _key("model.k_coeffs", _parse_float_list, _fmt_float_list, (1.0,))
-    alpha_coeffs: tuple = _key("model.alpha_coeffs", _parse_float_list, _fmt_float_list)
-    alpha_star: float = _key("model.alpha_star", float, fmt)
-    u0: str = _key("model.u0", str, str)
-    mesh_M: int = _key("mesh.M", int, str)
-    mesh_r: float | None = _key("mesh.r", _parse_grading, _fmt_grading, None)
-    basis_N: int = _key("basis.N", int, str)
-    obs_a: float = _key("observation.a", float, fmt, None)
-    obs_b: float = _key("observation.b", float, fmt, None)
-    obs_x_count: int = _key("observation.x_count", int, str, 16)
-    noise_level: float = _key("observation.noise_level", float, fmt, 0.0)
-    synthesis_refine: int = _key("observation.synthesis_refine", int, str, 4)
-    inv_degree: int = _key("inversion.degree", int, str, InversionConfig.degree)
-    inv_max_iter: int = _key("inversion.max_iter", int, str, InversionConfig.max_iter)
-    inv_gn_tolerance: float = _key(
-        "inversion.gn_tolerance", float, fmt, InversionConfig.gn_tolerance
-    )
-    inv_tikhonov: float = _key("inversion.tikhonov", float, fmt, InversionConfig.tikhonov)
-    inv_init: tuple = _key(
-        "inversion.init", _parse_float_list, _fmt_float_list, InversionConfig.init_coeffs
-    )
-    diag_gamma: float = _key("diagnostics.gamma", float, fmt, 0.0)
-    diag_fit_lo: float = _key("diagnostics.fit_lo", float, fmt, None)
-    diag_fit_hi: float = _key("diagnostics.fit_hi", float, fmt, None)
-    scan_c0_grid: tuple = _key("scan.c0_grid", _parse_float_list, _fmt_float_list, None)
-    out_dir: str = _key("output.dir", str, str, "out")
-    out_x_count: int = _key("output.x_count", int, str, 33)
-    seed: int = _key("run.seed", int, str, 0)
+    # None defaults are resolved at load.
+    K: float = _key("model.K", float)
+    L: float = _key("model.L", float)
+    T: float = _key("model.T", float)
+    k_coeffs: tuple = _key("model.k_coeffs", _parse_float_list, (1.0,))
+    alpha_coeffs: tuple = _key("model.alpha_coeffs", _parse_float_list)
+    alpha_star: float = _key("model.alpha_star", float)
+    u0: str = _key("model.u0", str)
+    mesh_M: int = _key("mesh.M", int)
+    mesh_r: float | None = _key("mesh.r", _parse_grading, None)
+    basis_N: int = _key("basis.N", int)
+    obs_a: float = _key("observation.a", float, None)
+    obs_b: float = _key("observation.b", float, None)
+    obs_x_count: int = _key("observation.x_count", int, 16)
+    noise_level: float = _key("observation.noise_level", float, 0.0)
+    synthesis_refine: int = _key("observation.synthesis_refine", int, 4)
+    inv_degree: int = _key("inversion.degree", int, InversionConfig.degree)
+    inv_max_iter: int = _key("inversion.max_iter", int, InversionConfig.max_iter)
+    inv_gn_tolerance: float = _key("inversion.gn_tolerance", float, InversionConfig.gn_tolerance)
+    inv_tikhonov: float = _key("inversion.tikhonov", float, InversionConfig.tikhonov)
+    inv_init: tuple = _key("inversion.init", _parse_float_list, InversionConfig.init_coeffs)
+    diag_gamma: float = _key("diagnostics.gamma", float, 0.0)
+    diag_fit_lo: float = _key("diagnostics.fit_lo", float, None)
+    diag_fit_hi: float = _key("diagnostics.fit_hi", float, None)
+    scan_c0_grid: tuple = _key("scan.c0_grid", _parse_float_list, None)
+    out_dir: str = _key("output.dir", str, "out")
+    out_x_count: int = _key("output.x_count", int, 33)
+    seed: int = _key("run.seed", int, 0)
 
     # -- construction ------------------------------------------------
 
@@ -184,14 +172,6 @@ class RunConfig:
                 self.u0_profile()
             except ValueError as exc:
                 raise ConfigError(f"bad u0 profile {self.u0!r}: {exc}", path) from None
-
-    # -- emission ----------------------------------------------------
-
-    def emit(self) -> str:
-        return "".join(
-            f"{f.metadata['key']} = {f.metadata['fmt'](getattr(self, f.name))}\n"
-            for f in fields(self)
-        )
 
     # -- domain objects ----------------------------------------------
 

@@ -46,13 +46,6 @@ class TestConfigParsing:
         assert cfg.diag_fit_lo == pytest.approx(1e-3)
         assert len(cfg.scan_c0_grid) == 17
 
-    def test_round_trip_identity(self):
-        cfg = RunConfig.from_text(BASE)
-        text = cfg.emit()
-        cfg2 = RunConfig.from_text(text)
-        assert cfg2 == cfg
-        assert cfg2.emit() == text
-
     def test_comments_and_inline_comments(self):
         cfg = RunConfig.from_text(BASE + "\n# a comment\nmesh.r = 2.0  # graded\n")
         assert cfg.mesh_r == 2.0
