@@ -51,8 +51,10 @@ def order_range(coeffs, T):
     c = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(c)):
         raise DomainError(f"order coefficients must be finite, got {c.tolist()}")
-    j = np.arange(1, c.size)
-    slope = j * c[1:] * T**j  # derivative coefficients in s = t / T
+    g = c[1:].copy()
+    for j in range(g.size):  # g_j = c_j T^j one factor at a time, so no T**j overflows
+        g[j:] *= T
+    slope = np.arange(1, c.size) * g  # derivative coefficients in s = t / T
     size = np.abs(slope)
     big = np.flatnonzero(size > np.finfo(float).eps * size.max(initial=0.0))
     s = np.roots(slope[big[-1] :: -1]) if big.size else []
@@ -60,25 +62,39 @@ def order_range(coeffs, T):
     return float(vals.min()), float(vals.max())
 
 
+def _bernstein_maps(d, T):
+    """(P, Q) with c = P b and b = Q c, for the power coefficients c and the
+    Bernstein coefficients b of sum_i b_i C(d, i) s^i (1 - s)^(d - i), s = t / T:
+    P[q, i] = C(d, q) C(q, i) (-1)^(q - i) / T^q and Q[i, q] = C(i, q) T^q / C(d, q),
+    scaled one factor of T at a time."""
+    k = range(d + 1)
+    P = np.array([[math.comb(d, q) * math.comb(q, i) * (-1) ** (q - i) for i in k] for q in k],
+                 dtype=float)
+    Q = np.array([[math.comb(i, q) / math.comb(d, q) for q in k] for i in k])
+    for q in range(1, d + 1):
+        P[q:] /= T
+        Q[:, q:] *= T
+    return P, Q
+
+
 def project_admissible(coeffs, T, alpha_star):
     """Map coefficients to an order with values in [0, alpha_star] on [0, T].
 
-    Until order_range passes: if the range is wider than alpha_star, the
-    non-constant part is shrunk to a range of 0.999 alpha_star; otherwise
-    the constant term is shifted into the box.  One pass can land a
-    rounding error outside, and a range that fitted at a large constant
-    term can overshoot near zero, so both steps repeat.  The result always
-    constructs an OrderFunction; admissible input is returned as is.
+    Admissible input is returned as is.  Otherwise the order's Bernstein
+    coefficients b on [0, T], between whose least and greatest the order
+    lies, are clipped into [0, alpha_star] and mapped back: b_0 = alpha(0)
+    exactly, the others a rounding margin inside, so the result always
+    constructs an OrderFunction.
     """
     c = np.array(coeffs, dtype=float)
     lo, hi = order_range(c, T)
-    while lo < 0.0 or hi > alpha_star:
-        if hi - lo > alpha_star:
-            c[1:] *= 0.999 * alpha_star / (hi - lo)
-        else:
-            c[0] += -lo if lo < 0.0 else alpha_star - hi
-        lo, hi = order_range(c, T)
-    return c
+    if lo >= 0.0 and hi <= alpha_star:
+        return c
+    P, Q = _bernstein_maps(c.size - 1, T)
+    b = Q @ c
+    margin = 24 * 3 ** (c.size - 1) * np.finfo(float).eps * alpha_star
+    b[0], b[1:] = np.clip(b[0], 0.0, alpha_star), np.clip(b[1:], margin, alpha_star - margin)
+    return P @ b
 
 
 @dataclass(eq=False)

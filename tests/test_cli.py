@@ -122,15 +122,24 @@ class TestForwardCommand:
         assert not any("nan" in f.read_text() for f in out.iterdir())
 
     def test_overflow_while_loading_exit_1_one_line(self, tmp_path, capsys):
-        # the order check forms T^2 = 1e310 for 0.6 t/T - 0.3 (t/T)^2 at T = 1e155:
-        # a fault while the config loads is a numerical failure like one in
+        # the order check forms c_2 T^2 = 1e600 for t + t^2 at T = 1e300: a
+        # fault while the config loads is a numerical failure like one in
         # the run, not a warning beside the message
-        text = (TWIN_CFG.replace("model.T = 1.0", "model.T = 1e155")
-                .replace("0.3, 0.2", "0.0, 6e-156, -3e-311"))
+        text = (TWIN_CFG.replace("model.T = 1.0", "model.T = 1e300")
+                .replace("0.3, 0.2", "0.0, 1.0, 1.0"))
         assert main(["forward", "--config", write_cfg(tmp_path, text),
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("vordiff: numerical failure: overflow") and err.count("\n") == 1
+
+    def test_admissible_order_at_a_large_horizon_loads(self, tmp_path):
+        # 0.6 t/T - 0.3 (t/T)^2 at T = 1e155: T^2 = 1e310 leaves the float
+        # range, but the scaled coefficients c_j T^j are 0.6 and -0.3
+        text = (TWIN_CFG.replace("model.T = 1.0", "model.T = 1e155")
+                .replace("0.3, 0.2", "0.0, 6e-156, -3e-311"))
+        out = tmp_path / "out"
+        assert main(["forward", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        assert not any("nan" in f.read_text() for f in out.iterdir())
 
     def test_overflow_names_gamma(self, tmp_path, capsys):
         text = TWIN_CFG.replace("model.K = 1.0", "model.K = 1e300") + "diagnostics.gamma = 3\n"

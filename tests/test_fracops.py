@@ -18,7 +18,8 @@ from vordiff import (
     l1_weights,
 )
 from vordiff import fracops
-from vordiff.fracops import SENSITIVITY_BLOCK, order_sensitivities, project_admissible
+from vordiff.fracops import (SENSITIVITY_BLOCK, order_range, order_sensitivities,
+                             project_admissible)
 
 
 def sampled(mesh, fn):
@@ -99,6 +100,11 @@ class TestOrderFunction:
         through_zero = OrderFunction((0.0, 0.5 / T), 0.5, T)
         assert through_zero(0.0) == 0.0
 
+    def test_range_where_the_horizon_squared_overflows(self):
+        # T^2 = 1e310 leaves the float range; the scaled c_j T^j = (0.6, -0.3) do not
+        assert order_range((0.0, 6e-156, -3e-311), 1e155) == (0.0, pytest.approx(0.3))
+        OrderFunction((0.0, 6e-156, -3e-311), 0.95, 1e155)
+
     def test_domain_error(self):
         alpha = OrderFunction((0.5,), 0.9, 1.0)
         with pytest.raises(DomainError):
@@ -153,6 +159,13 @@ class TestProjectAdmissible:
     )
     def test_projection_constructible(self, coeffs, T, alpha_star):
         OrderFunction(project_admissible(coeffs, T, alpha_star), alpha_star, T)
+
+    def test_clip_keeps_an_admissible_initial_order(self):
+        # 0.6 - 0.8 t dips below 0 only near t = T: the Bernstein coefficients
+        # (0.6, -0.2) clip to (0.6, margin), so alpha(0) stays and alpha(T) ~ 0
+        projected = project_admissible((0.6, -0.8), 1.0, 0.95)
+        assert projected[0] == 0.6
+        assert 0.0 <= order_range(projected, 1.0)[0] <= 1e-13
 
     @given(
         coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7),

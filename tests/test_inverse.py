@@ -549,31 +549,29 @@ class TestStopReason:
         assert res.stop_reason == "tolerance"
         assert res.final_misfit <= 1e-8
 
-    def test_bound_stall_stops_on_no_descent(self):
-        obs = twin_observations((0.0, 0.3), t_count=256)
-        res = recover_order(obs, template(), InversionConfig(degree=1, n_modes=8))
+    def test_bound_stall_stops_on_no_descent(self, monkeypatch):
+        # a Jacobian of the wrong sign makes every step an ascent, so no
+        # halving decreases the misfit
+        jacobian = vordiff.inverse._Inversion.jacobian
+        monkeypatch.setattr(vordiff.inverse._Inversion, "jacobian",
+                            lambda *args: -jacobian(*args))
+        obs = twin_observations((0.3, 0.2), t_count=128)
+        cfg = InversionConfig(degree=1, n_modes=8, init_coeffs=(0.5, 0.0))
+        res = recover_order(obs, template(), cfg)
         assert not res.converged and res.stop_reason == "no_descent"
+        assert res.iterations == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Gauss-Newton stalls on the alpha(0) = 0 bound; the active-set "
-    "step of ROADMAP item 4 is still open",
-)
 def test_truth_on_admissible_bound_recovered():
     obs = twin_observations((0.0, 0.3), t_count=256)
     res = recover_order(obs, template(), InversionConfig(degree=1, n_modes=8))
     assert res.converged
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a run creeping along the face alpha(T) = 0 stops on the relative-drop "
-    "test and reports convergence; the bound-aware step of ROADMAP item 4 is still open",
-)
 def test_converged_run_fits_as_well_as_the_truth():
-    # one x point and the 51 times t <= 0.01: Gauss-Newton stops with
-    # "tolerance" at (0.4836, -0.4836), misfit 2.0e-3, against 1.9e-5 at the truth
+    # one x point and the 51 times t <= 0.01: a step blind to the bounds stops
+    # with "tolerance" at (0.4836, -0.4836), misfit 2.0e-3, against 1.9e-5 at
+    # the truth
     obs = synthesize_observations(
         template().with_alpha(OrderFunction((0.3, 0.2), 0.95, 1.0)), (0.5, 2.5), 1, 256,
         0.0, 1, n_modes=16,
@@ -587,14 +585,10 @@ def test_converged_run_fits_as_well_as_the_truth():
     assert res.final_misfit <= 10.0 * truth_misfit
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Gauss-Newton stalls on the alpha(0) = 0 bound at degree 2; the "
-    "bound-aware step of ROADMAP item 4 is still open",
-)
 def test_degree_two_truth_on_admissible_bound_converges():
-    # the truth (0, 0.6, -0.3) at t_count 128 stops with "no_descent" after 4
-    # iterations at (0, 0.536, -0.232), misfit 0.0242; Gauss-Newton on c1, c2
+    # a step blind to the bounds stops the truth (0, 0.6, -0.3) at t_count 128
+    # with "no_descent" after 4 iterations at (0, 0.536, -0.232), misfit
+    # 0.0242; Gauss-Newton on c1, c2
     # with c0 held at 0 reaches (0, 0.5057, -0.1577), misfit 0.01990, so the
     # bound-constrained minimum lies at or below that
     obs = twin_observations((0.0, 0.6, -0.3), t_count=128)
@@ -603,14 +597,10 @@ def test_degree_two_truth_on_admissible_bound_converges():
     assert res.final_misfit <= 0.021
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a short time window drives Gauss-Newton onto the face alpha(T) = 0, "
-    "where it stops; the bound-aware step of ROADMAP item 4 is still open",
-)
 def test_short_window_run_fits_as_well_as_the_truth():
-    # 16 x points and the 89 times t <= 0.05: one iteration, then "no_descent"
-    # at (0.4415, -0.4415), misfit 5.50e-2 against 1.04e-3 at the truth
+    # 16 x points and the 89 times t <= 0.05: a step blind to the bounds takes
+    # one iteration, then "no_descent" at (0.4415, -0.4415), misfit 5.50e-2
+    # against 1.04e-3 at the truth
     obs = synthesize_observations(
         template().with_alpha(OrderFunction((0.3, 0.2), 0.95, 1.0)), (0.5, 2.5), 16, 256,
         0.0, 1, n_modes=16,
@@ -622,6 +612,24 @@ def test_short_window_run_fits_as_well_as_the_truth():
     truth_misfit = np.linalg.norm(residual((0.3, 0.2), obs, template(), cfg))
     assert res.converged
     assert res.final_misfit <= 10.0 * truth_misfit
+
+
+def test_start_on_a_bound_is_held_then_released(monkeypatch):
+    # from (0, 0.5) the first step would take alpha(0) below 0, so that
+    # Bernstein coefficient is held on its bound and lstsq solves for the
+    # other one; the gradient then points inward, the hold is released, and
+    # the run leaves the bound for the interior truth
+    columns = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda A, *args, **kw: columns.append(A.shape[1]) or lstsq(A, *args, **kw))
+    obs = twin_observations((0.05, 0.3), t_count=128)
+    cfg = InversionConfig(degree=1, n_modes=8, init_coeffs=(0.0, 0.5))
+    res = recover_order(obs, template(), cfg)
+    assert columns[0] == 1 and columns[-1] == 2
+    assert res.converged
+    assert res.coeffs[0] > 0.0
+    assert np.abs(np.subtract(res.coeffs, (0.05, 0.3))).max() <= 1.5e-2
 
 
 def test_jacobian_reuses_the_accepted_trial_solve(monkeypatch):
