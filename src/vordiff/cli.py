@@ -81,7 +81,7 @@ def run_diagnose(cfg: RunConfig, args):
     field = solve_forward(spec, mesh, cfg.basis_N)
     try:
         report = regularity_report(field, spec.alpha.alpha0, cfg.diag_gamma, window=window)
-    except DomainError as exc:  # after the checks above, only the floor can empty the window
+    except DomainError as exc:  # past the checks above, the floor or the mode cap empties it
         raise ConfigError(f"diagnostics.fit_lo..fit_hi: {exc}") from None
     csvio.write_regularity_csv(os.path.join(cfg.out_dir, "regularity.csv"), report)
 

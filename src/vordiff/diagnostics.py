@@ -23,6 +23,7 @@ SMOOTH_SLOPE_THRESHOLD = 0.1
 MIN_FIT_SAMPLES = 8
 MIN_MESH_M = 64  # mesh intervals needed to difference a field twice
 ROUNDING_MARGIN = 100.0  # differences kept: gamma-norm >= this times their rounding bound
+EXCITED_SHARE = 1e-8  # u0 excites mode i when |c_i(0)| > this times the largest |c(0)|
 
 
 @dataclass
@@ -42,12 +43,13 @@ class RegularityReport:
 
 
 def _difference_norms(field: SolutionField, gamma: float):
-    """(sup_u, du, t, d2u): the one pass over the field that the diagnosis reads.
+    """(sup_u, du, t, d2u, dd2): the one pass over the field that the diagnosis reads.
 
     sup_u = max_t |u|_gamma; du and d2u are the gamma-norms of the first and the
-    three-point second divided differences (non-uniform nodes allowed), and t the
-    interior nodes of d2u.  A difference is kept where its norm is at least
-    ROUNDING_MARGIN times its rounding bound, 2 eps sup_u / h or 4 eps sup_u / (h1 h2).
+    three-point second divided differences (non-uniform nodes allowed), dd2 the
+    second differences per mode, and t the interior nodes of d2u and dd2.  A
+    difference is kept where its norm is at least ROUNDING_MARGIN times its
+    rounding bound, 2 eps sup_u / h or 4 eps sup_u / (h1 h2).
     Needs M >= MIN_MESH_M.
     """
     if field.mesh.M < MIN_MESH_M:
@@ -64,13 +66,13 @@ def _difference_norms(field: SolutionField, gamma: float):
     )
     d2u = sobolev_norm(field.basis, dd2, gamma)
     keep = d2u >= 4.0 * floor / (h1 * h2)
-    return sup_u, du[du >= 2.0 * floor / h], t[1:-1][keep], d2u[keep]
+    return sup_u, du[du >= 2.0 * floor / h], t[1:-1][keep], d2u[keep], dd2[:, keep]
 
 
 def second_derivative_norms(field: SolutionField, gamma: float):
     """|d^2 u/dt^2 (., t_n)|_gamma as arrays (t, norms) over the interior nodes that
     _difference_norms keeps; a graded mesh resolves the behavior near t = 0."""
-    return _difference_norms(field, gamma)[2:]
+    return _difference_norms(field, gamma)[2:4]
 
 
 def fit_window_mask(t, window):
@@ -109,7 +111,7 @@ def weighted_cm_norm(field: SolutionField, mu: float, gamma: float) -> float:
     initial-time behavior for alpha(0) > 0.  The C^1 part is the sup of the
     field's gamma-norms and of its kept first differences' (_difference_norms).
     """
-    return _weighted_norm(mu, *_difference_norms(field, gamma))
+    return _weighted_norm(mu, *_difference_norms(field, gamma)[:4])
 
 
 def _weighted_norm(mu, sup_u, du, t, d2u):
@@ -132,14 +134,22 @@ def regularity_report(
 
     alpha0 is the order at t = 0, in [0, 1); the expected log-log slope is -alpha0.
     The weighted norm uses mu = 1 - alpha0 (mu = 0 when alpha0 = 0, where
-    the weight is degenerate and the plain norm is reported).  When the mesh
+    the weight is degenerate and the plain norm is reported).  The slope is
+    fitted to the second differences of the slowest mode that u0 excites
+    (EXCITED_SHARE), with the window's upper end scaled by lambda_1 / lambda_i
+    to that mode's decay, so faster modes' smooth e^(-lambda t) decay does not
+    enter it; the report records that window.  When the mesh
     has MIN_FIT_SAMPLES interior nodes in the window but the rounding floor
     keeps fewer, the DomainError names the floor and the first node it keeps.
     """
     _check_orders(np.array([alpha0], dtype=float))
     if window is None:
         window = default_fit_window(field.mesh.T)
-    _, _, t, norms = parts = _difference_norms(field, gamma)
+    *parts, dd2 = _difference_norms(field, gamma)
+    c0, lam = np.abs(field.values[:, 0]), field.basis.eigenvalues()
+    i = int(np.argmax(c0 > EXCITED_SHARE * c0.max()))  # the slowest excited mode
+    window = (window[0], window[1] * (lam[0] / lam[i]))
+    t, norms = parts[2], np.abs(dd2[i])  # its gamma weight is a factor, which leaves the slope
     inside = fit_window_mask(t, window)
     kept = np.count_nonzero(inside)
     nodes = np.count_nonzero(fit_window_mask(field.mesh.nodes[1:-1], window))
