@@ -51,10 +51,7 @@ def order_range(coeffs, T):
     c = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(c)):
         raise DomainError(f"order coefficients must be finite, got {c.tolist()}")
-    g = c[1:].copy()
-    for j in range(g.size):  # g_j = c_j T^j one factor at a time, so no T**j overflows
-        g[j:] *= T
-    slope = np.arange(1, c.size) * g  # derivative coefficients in s = t / T
+    slope = np.arange(1, c.size) * _in_s(c, T)[1:]  # derivative coefficients in s = t / T
     size = np.abs(slope)
     big = np.flatnonzero(size > np.finfo(float).eps * size.max(initial=0.0))
     s = np.roots(slope[big[-1] :: -1]) if big.size else []
@@ -62,19 +59,23 @@ def order_range(coeffs, T):
     return float(vals.min()), float(vals.max())
 
 
-def _bernstein_maps(d, T):
-    """(P, Q) with c = P b and b = Q c, for the power coefficients c and the
-    Bernstein coefficients b of sum_i b_i C(d, i) s^i (1 - s)^(d - i), s = t / T:
-    P[q, i] = C(d, q) C(q, i) (-1)^(q - i) / T^q and Q[i, q] = C(i, q) T^q / C(d, q),
-    scaled one factor of T at a time."""
+def _in_s(c, T, back=False):
+    """c_q T^q, the coefficients in s = t / T of sum_q c_q t^q (with back, c_q / T^q),
+    for each column of c: one factor of T at a time, so no T**q overflows."""
+    g = np.array(c, dtype=float)
+    for q in range(1, len(g)):
+        g[q:] = g[q:] / T if back else g[q:] * T
+    return g
+
+
+def _bernstein_maps(d):
+    """(P, Q) with g = P b and b = Q g, for the coefficients g of a polynomial of
+    degree d in s and its Bernstein coefficients b, sum_i b_i C(d, i) s^i (1 - s)^(d - i):
+    P[q, i] = C(d, q) C(q, i) (-1)^(q - i) and Q[i, q] = C(i, q) / C(d, q)."""
     k = range(d + 1)
-    P = np.array([[math.comb(d, q) * math.comb(q, i) * (-1) ** (q - i) for i in k] for q in k],
-                 dtype=float)
-    Q = np.array([[math.comb(i, q) / math.comb(d, q) for q in k] for i in k])
-    for q in range(1, d + 1):
-        P[q:] /= T
-        Q[:, q:] *= T
-    return P, Q
+    P = [[math.comb(d, q) * math.comb(q, i) * (-1) ** (q - i) for i in k] for q in k]
+    Q = [[math.comb(i, q) / math.comb(d, q) for q in k] for i in k]
+    return np.array(P, dtype=float), np.array(Q)
 
 
 def project_admissible(coeffs, T, alpha_star):
@@ -82,19 +83,20 @@ def project_admissible(coeffs, T, alpha_star):
 
     Admissible input is returned as is.  Otherwise the order's Bernstein
     coefficients b on [0, T], between whose least and greatest the order
-    lies, are clipped into [0, alpha_star] and mapped back: b_0 = alpha(0)
-    exactly, the others a rounding margin inside, so the result always
-    constructs an OrderFunction.
+    lies, are clipped into [0, alpha_star] and mapped back.  Where rounding
+    leaves that outside, b_0 = alpha(0) is clipped exactly and the others a
+    margin inside, so the result always constructs an OrderFunction.
     """
     c = np.array(coeffs, dtype=float)
-    lo, hi = order_range(c, T)
-    if lo >= 0.0 and hi <= alpha_star:
-        return c
-    P, Q = _bernstein_maps(c.size - 1, T)
-    b = Q @ c
-    margin = 24 * 3 ** (c.size - 1) * np.finfo(float).eps * alpha_star
-    b[0], b[1:] = np.clip(b[0], 0.0, alpha_star), np.clip(b[1:], margin, alpha_star - margin)
-    return P @ b
+    for margin in (0.0, 24 * 3 ** (c.size - 1) * np.finfo(float).eps * alpha_star):
+        lo, hi = order_range(c, T)
+        if lo >= 0.0 and hi <= alpha_star:
+            return c
+        P, Q = _bernstein_maps(c.size - 1)
+        b = Q @ _in_s(coeffs, T)
+        b[0], b[1:] = np.clip(b[0], 0.0, alpha_star), np.clip(b[1:], margin, alpha_star - margin)
+        c = _in_s(P @ b, T, back=True)
+    return c
 
 
 @dataclass(eq=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IllPosedExtractionError, _count, _real
-from .fracops import (MAX_ORDER_DEGREE, OrderFunction, TimeMesh, _bernstein_maps,
+from .fracops import (MAX_ORDER_DEGREE, OrderFunction, TimeMesh, _bernstein_maps, _in_s,
                       order_sensitivities, polyval, project_admissible)
 from .forward import ModelSpec, default_grading, solve_forward, step_modes
 from .spectral import SpectralBasis
@@ -295,7 +295,7 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     rank-deficient J gives the minimum-norm step.  J^T J is never formed.
     A Bernstein coefficient of the order (fracops._bernstein_maps) that lies
     on 0 or alpha_star while the gradient pushes it out is held there: the
-    step then solves for the other columns of [J; sqrt(tikhonov) I] P.
+    step then solves for the other Bernstein coefficients.
     Steps that do not decrease |r|^2 are halved, and every iterate is
     projected into the admissible bounds with project_admissible, the
     exact check that OrderFunction applies.
@@ -325,15 +325,16 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     r = np.concatenate((res, root_mu * (c - prior)))
     history = [float(np.linalg.norm(res))]
     stop_reason = "max_iter"
-    (P, Q), tol = _bernstein_maps(config.degree, model.T), 1e-12 * config.alpha_star
+    (P, Q), T, tol = _bernstein_maps(config.degree), model.T, 1e-12 * config.alpha_star
     for _ in range(config.max_iter):
         J = np.vstack((inv.jacobian(c.size, a, u, tables), root_mu * np.eye(c.size)))
-        b, g = Q @ c, P.T @ (J.T @ r)  # g: the gradient in Bernstein coordinates
+        b, g = Q @ _in_s(c, T), P.T @ _in_s(J.T @ r, T, back=True)  # in Bernstein coordinates
         free = ~(((b <= tol) & (g > 0.0)) | ((b >= config.alpha_star - tol) & (g < 0.0)))
         if free.all():
             delta = np.linalg.lstsq(J, -r, rcond=None)[0]
         else:  # hold the coefficients on a bound that g pushes out
-            delta = P[:, free] @ np.linalg.lstsq(J @ P[:, free], -r, rcond=None)[0]
+            Jb = _in_s(J.T, T, back=True).T @ P[:, free]
+            delta = _in_s(P[:, free] @ np.linalg.lstsq(Jb, -r, rcond=None)[0], T, back=True)
         step = 1.0
         for _ in range(STEP_HALVINGS):
             cand = project_admissible(c + step * delta, model.T, config.alpha_star)

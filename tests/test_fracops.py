@@ -155,6 +155,9 @@ class TestProjectAdmissible:
             ((-1.01, -0.21, -0.16, 0.54, 0.21), 1.0, 0.95),
             # the range fits at c0 = 1 but overshoots once shifted to c0 = 0
             ((1.0, 0.0, 0.01), 0.01, 1e-6),
+            # Bernstein coefficients (0.18, 0.59, -0.79) clipped exactly to
+            # (0.18, 0.59, 0) map back to an order whose range rounds to -5.6e-17
+            ((0.18, 0.82, -1.79), 1.0, 0.95),
         ],
     )
     def test_projection_constructible(self, coeffs, T, alpha_star):
@@ -162,7 +165,7 @@ class TestProjectAdmissible:
 
     def test_clip_keeps_an_admissible_initial_order(self):
         # 0.6 - 0.8 t dips below 0 only near t = T: the Bernstein coefficients
-        # (0.6, -0.2) clip to (0.6, margin), so alpha(0) stays and alpha(T) ~ 0
+        # (0.6, -0.2) clip to (0.6, 0), so alpha(0) stays and alpha(T) ~ 0
         projected = project_admissible((0.6, -0.8), 1.0, 0.95)
         assert projected[0] == 0.6
         assert 0.0 <= order_range(projected, 1.0)[0] <= 1e-13
