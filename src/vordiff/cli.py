@@ -16,7 +16,8 @@ import numpy as np
 
 from . import csvio
 from .config import RunConfig
-from .diagnostics import MIN_FIT_SAMPLES, MIN_MESH_M, fit_window_mask, regularity_report
+from .diagnostics import (MIN_FIT_SAMPLES, MIN_MESH_M, _mode_fit_window, fit_window_mask,
+                          regularity_report)
 from .errors import ConfigError, DomainError, VordiffError
 from .forward import solve_forward, stability_ratio
 from .inverse import check_observations, recover_order, synthesize_observations, uniqueness_scan
@@ -69,19 +70,17 @@ def run_diagnose(cfg: RunConfig, args):
     # both rules hold for the config alone, so check them before solving
     if cfg.mesh_M < MIN_MESH_M:
         raise ConfigError(f"mesh.M must be >= {MIN_MESH_M} to diagnose, got {cfg.mesh_M}")
-    mesh = cfg.time_mesh()
-    window = (cfg.diag_fit_lo, cfg.diag_fit_hi)
-    inside = np.count_nonzero(fit_window_mask(mesh.nodes[1:-1], window))
+    mesh, spec, window = cfg.time_mesh(), cfg.model_spec(), (cfg.diag_fit_lo, cfg.diag_fit_hi)
+    i, fitted = _mode_fit_window(basis := spec.basis(cfg.basis_N), spec.u0_coefficients(basis), window)
+    inside = np.count_nonzero(fit_window_mask(mesh.nodes[1:-1], fitted))
     if inside < MIN_FIT_SAMPLES:
-        raise ConfigError(
-            f"diagnostics.fit_lo..fit_hi holds {inside} interior mesh nodes, "
-            f"need >= {MIN_FIT_SAMPLES}"
-        )
-    spec = cfg.model_spec()
+        cap = f" up to fit_hi lambda_1 / lambda_{i + 1} = {fitted[1]:.4g}" if i else ""
+        raise ConfigError(f"diagnostics.fit_lo..fit_hi holds {inside} interior mesh nodes{cap}, "
+                          f"need >= {MIN_FIT_SAMPLES}")
     field = solve_forward(spec, mesh, cfg.basis_N)
     try:
         report = regularity_report(field, spec.alpha.alpha0, cfg.diag_gamma, window=window)
-    except DomainError as exc:  # past the checks above, the floor or the mode cap empties it
+    except DomainError as exc:  # past the checks above, the rounding floor empties it
         raise ConfigError(f"diagnostics.fit_lo..fit_hi: {exc}") from None
     csvio.write_regularity_csv(os.path.join(cfg.out_dir, "regularity.csv"), report)
 

@@ -127,6 +127,12 @@ def default_fit_window(T: float) -> tuple:
     return (T * 1e-3, T * 1e-1)
 
 
+def _mode_fit_window(basis, c0, window):
+    """The slowest mode i with |c0_i| > EXCITED_SHARE max|c0|, and the window capped for it."""
+    i, lam = int(np.argmax(np.abs(c0) > EXCITED_SHARE * np.abs(c0).max())), basis.eigenvalues()
+    return i, (window[0], window[1] * (lam[0] / lam[i]))
+
+
 def regularity_report(
     field: SolutionField, alpha0: float, gamma: float, window=None
 ) -> RegularityReport:
@@ -135,20 +141,17 @@ def regularity_report(
     alpha0 is the order at t = 0, in [0, 1); the expected log-log slope is -alpha0.
     The weighted norm uses mu = 1 - alpha0 (mu = 0 when alpha0 = 0, where
     the weight is degenerate and the plain norm is reported).  The slope is
-    fitted to the second differences of the slowest mode that u0 excites
-    (EXCITED_SHARE), with the window's upper end scaled by lambda_1 / lambda_i
-    to that mode's decay, so faster modes' smooth e^(-lambda t) decay does not
-    enter it; the report records that window.  When the mesh
-    has MIN_FIT_SAMPLES interior nodes in the window but the rounding floor
-    keeps fewer, the DomainError names the floor and the first node it keeps.
+    fitted to the second differences of the slowest mode i that u0 excites,
+    on the window with its upper end scaled by lambda_1 / lambda_i (recorded in
+    the report), so that the mode's own e^(-lambda_i t) decay stays out.  When
+    it holds MIN_FIT_SAMPLES interior mesh nodes but the rounding floor keeps
+    fewer, the DomainError names the floor and the first node it keeps.
     """
     _check_orders(np.array([alpha0], dtype=float))
     if window is None:
         window = default_fit_window(field.mesh.T)
     *parts, dd2 = _difference_norms(field, gamma)
-    c0, lam = np.abs(field.values[:, 0]), field.basis.eigenvalues()
-    i = int(np.argmax(c0 > EXCITED_SHARE * c0.max()))  # the slowest excited mode
-    window = (window[0], window[1] * (lam[0] / lam[i]))
+    i, window = _mode_fit_window(field.basis, field.values[:, 0], window)
     t, norms = parts[2], np.abs(dd2[i])  # its gamma weight is a factor, which leaves the slope
     inside = fit_window_mask(t, window)
     kept = np.count_nonzero(inside)

@@ -92,10 +92,8 @@ def project_admissible(coeffs, T, alpha_star):
         lo, hi = order_range(c, T)
         if lo >= 0.0 and hi <= alpha_star:
             return c
-        P, Q = _bernstein_maps(c.size - 1)
-        b = Q @ _in_s(coeffs, T)
-        b[0], b[1:] = np.clip(b[0], 0.0, alpha_star), np.clip(b[1:], margin, alpha_star - margin)
-        c = _in_s(P @ b, T, back=True)
+        (P, Q), m = _bernstein_maps(c.size - 1), margin * (np.arange(c.size) > 0)  # b_0 exact
+        c = _in_s(P @ np.clip(Q @ _in_s(coeffs, T), m, alpha_star - m), T, back=True)
     return c
 
 

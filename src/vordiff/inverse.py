@@ -28,6 +28,7 @@ from .spectral import SpectralBasis
 CONDITION_LIMIT = 1e8
 MAX_NOISE_LEVEL = 0.1
 STEP_HALVINGS = 20
+_ON_BOUND = 1e-11  # times alpha_star: above project_admissible's margin at every degree
 
 
 @dataclass
@@ -293,9 +294,9 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     [J; sqrt(tikhonov) I] delta = -r by np.linalg.lstsq: an SVD that drops
     singular values below eps * max(rows, columns) times the largest, so a
     rank-deficient J gives the minimum-norm step.  J^T J is never formed.
-    A Bernstein coefficient of the order (fracops._bernstein_maps) that lies
-    on 0 or alpha_star while the gradient pushes it out is held there: the
-    step then solves for the other Bernstein coefficients.
+    An end value alpha(0) or alpha(T) on 0 or alpha_star that the gradient
+    pushes out is held there, and the step solves for the other Bernstein
+    coefficients (fracops._bernstein_maps), which are not values of the order.
     Steps that do not decrease |r|^2 are halved, and every iterate is
     projected into the admissible bounds with project_admissible, the
     exact check that OrderFunction applies.
@@ -325,11 +326,12 @@ def recover_order(obs: ObservationSet, model: ModelSpec, config: InversionConfig
     r = np.concatenate((res, root_mu * (c - prior)))
     history = [float(np.linalg.norm(res))]
     stop_reason = "max_iter"
-    (P, Q), T, tol = _bernstein_maps(config.degree), model.T, 1e-12 * config.alpha_star
+    (P, Q), T, tol = _bernstein_maps(config.degree), model.T, _ON_BOUND * config.alpha_star
     for _ in range(config.max_iter):
         J = np.vstack((inv.jacobian(c.size, a, u, tables), root_mu * np.eye(c.size)))
         b, g = Q @ _in_s(c, T), P.T @ _in_s(J.T @ r, T, back=True)  # in Bernstein coordinates
-        free = ~(((b <= tol) & (g > 0.0)) | ((b >= config.alpha_star - tol) & (g < 0.0)))
+        free = ~(((np.abs(b) <= tol) & (g > 0.0)) | ((np.abs(b - config.alpha_star) <= tol) & (g < 0.0)))
+        free[1:-1] = True  # the inner b_i are not values of the order, so none is held
         if free.all():
             delta = np.linalg.lstsq(J, -r, rcond=None)[0]
         else:  # hold the coefficients on a bound that g pushes out

@@ -273,6 +273,41 @@ class TestSynthInvertScanDiagnose:
         assert "Traceback" not in err
         assert not (tmp_path / "regularity.csv").exists()
 
+    def test_diagnose_mode_cap_empties_window_before_the_solve(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # u0 = mode3 is fitted on (1e-3, 0.1 lambda_1 / lambda_3), which holds
+        # one node at M = 128, r = 1, though the window as set holds 12
+        monkeypatch.setattr(cli, "solve_forward", lambda *args: pytest.fail("solved"))
+        text = TWIN_CFG.replace("parabola", "mode3").replace("mesh.M = 64", "mesh.M = 128")
+        cfg = write_cfg(tmp_path, text + "mesh.r = 1\n")
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "holds 1 interior mesh nodes" in err
+        assert "lambda_1 / lambda_3 = 0.01111" in err
+        assert not (tmp_path / "regularity.csv").exists()
+
+    def test_diagnose_mode3_datum_fits_its_capped_window(self, tmp_path):
+        # the smooth case with u0 = mode3 at M = 1024, r = 1 reads -0.049 on
+        # the capped window; on (1e-3, 0.1) mode 3's own decay read -0.300
+        text = (TWIN_CFG.replace("parabola", "mode3").replace("0.3, 0.2", "0.0, 0.6, -0.3")
+                .replace("mesh.M = 64", "mesh.M = 1024"))
+        cfg = write_cfg(tmp_path, text + "mesh.r = 1\n")
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = csvio.read_regularity_csv(tmp_path / "regularity.csv")
+        assert report["fitted_slope"] == pytest.approx(-0.049, abs=0.005)
+        assert report["verdict"] == "smooth"
+
+    def test_invert_at_degree_6_on_a_tiny_horizon(self, tmp_path):
+        # a trial clipped with the rounding margin on every inner Bernstein
+        # coefficient has c_q ~ 1e-12 / T^q, which overflows on T = 1e-60; the
+        # exact clip, tried first, maps back to a constant
+        text = (TWIN_CFG.replace("model.T = 1.0", "model.T = 1e-60").replace("0.3, 0.2", "0.3")
+                .replace("inversion.degree = 1", "inversion.degree = 6"))
+        cfg, out = write_cfg(tmp_path, text), tmp_path / "out"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["invert", "--config", cfg, "--obs", str(out / "observations.csv"),
+                     "--out", str(out)]) == 0
+
     def test_invert_bad_inversion_key_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TWIN_CFG.replace("inversion.degree = 1",
                                                    "inversion.degree = 9"))

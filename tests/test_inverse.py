@@ -24,6 +24,7 @@ from vordiff import (
     uniqueness_scan,
 )
 import vordiff.forward
+import vordiff.fracops
 import vordiff.inverse
 from vordiff.forward import SOE_MIN_M, default_grading
 
@@ -597,6 +598,20 @@ def test_degree_two_truth_on_admissible_bound_converges():
     assert res.final_misfit <= 0.021
 
 
+def test_degree_two_interior_minimum_recovered():
+    # 0.25 - 0.8 t + 0.8 t^2 keeps to [0.05, 0.25] but has the Bernstein
+    # coefficients (0.25, -0.15, 0.25); the first step from 0.5 clips the inner
+    # one to 0, and a hold on it stopped the run with "tolerance" at
+    # (0.1866, -0.3733, 0.1974), misfit 5.4e-2 against 6.6e-3 at the minimum
+    truth = (0.25, -0.8, 0.8)
+    obs = twin_observations(truth, t_count=128)
+    cfg = InversionConfig(degree=2, n_modes=8, init_coeffs=(0.5,))
+    res = recover_order(obs, template(), cfg)
+    assert res.converged
+    assert res.final_misfit <= np.linalg.norm(residual(truth, obs, template(), cfg))
+    assert np.abs(np.subtract(res.coeffs, truth)).max() <= 0.05
+
+
 def test_short_window_run_fits_as_well_as_the_truth():
     # 16 x points and the 89 times t <= 0.05: a step blind to the bounds takes
     # one iteration, then "no_descent" at (0.4415, -0.4415), misfit 5.50e-2
@@ -630,6 +645,21 @@ def test_start_on_a_bound_is_held_then_released(monkeypatch):
     assert res.converged
     assert res.coeffs[0] > 0.0
     assert np.abs(np.subtract(res.coeffs, (0.05, 0.3))).max() <= 1.5e-2
+
+
+@pytest.mark.parametrize("degree", range(vordiff.fracops.MAX_ORDER_DEGREE + 1))
+def test_clipped_end_values_lie_on_the_bound(degree):
+    # project_admissible keeps alpha(T) a rounding margin inside the bound,
+    # 3.9e-12 alpha_star at degree 6: a hold within 1e-12 alpha_star missed it
+    Q = vordiff.fracops._bernstein_maps(degree)[1]
+    rng = np.random.default_rng(degree)
+    for _ in range(200):
+        c, T = rng.uniform(-2.0, 2.0, degree + 1), rng.uniform(0.1, 10.0)
+        b = Q @ vordiff.fracops._in_s(vordiff.inverse.project_admissible(c, T, 0.95), T)
+        raw = Q @ vordiff.fracops._in_s(c, T)
+        for j in (0, -1):
+            bound = 0.0 if raw[j] < 0.0 else 0.95 if raw[j] > 0.95 else b[j]
+            assert abs(b[j] - bound) <= vordiff.inverse._ON_BOUND * 0.95
 
 
 def test_jacobian_reuses_the_accepted_trial_solve(monkeypatch):
