@@ -29,15 +29,15 @@ def _seed(text):
     return int(text)
 
 
-def _synthesize(cfg: RunConfig, model):
+def _synthesize(cfg: RunConfig):
     return synthesize_observations(
-        model, (cfg.obs_a, cfg.obs_b), cfg.obs_x_count, cfg.mesh_M, cfg.noise_level, cfg.seed,
+        cfg.model, (cfg.obs_a, cfg.obs_b), cfg.obs_x_count, cfg.mesh_M, cfg.noise_level, cfg.seed,
         refine=cfg.synthesis_refine, grading=cfg.mesh_r, n_modes=cfg.basis_N,
     )
 
 
 def run_forward(cfg: RunConfig, args):
-    field = solve_forward(cfg.model_spec(), cfg.time_mesh(), cfg.basis_N)
+    field = solve_forward(cfg.model, cfg.mesh, cfg.basis_N)
     xs = np.linspace(0.0, cfg.L, cfg.out_x_count)
     csvio.write_solution_csv(os.path.join(cfg.out_dir, "solution.csv"), field, xs)
     csvio.write_modes_csv(os.path.join(cfg.out_dir, "modes.csv"), field)
@@ -46,20 +46,19 @@ def run_forward(cfg: RunConfig, args):
 
 
 def run_synth(cfg: RunConfig, args):
-    obs = _synthesize(cfg, cfg.model_spec())
+    obs = _synthesize(cfg)
     csvio.write_observations_csv(os.path.join(cfg.out_dir, "observations.csv"), obs)
 
 
 def run_invert(cfg: RunConfig, args):
     if cfg.k_coeffs[0] == 0.0:  # the library's rule, for the config alone
         raise ConfigError("model.k_coeffs: order recovery requires k(0) != 0", args.config)
-    model = cfg.model_spec()
     try:
         obs = csvio.read_observations_csv(args.obs)
-        check_observations(obs, model)
+        check_observations(obs, cfg.model)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read observations: {exc}", args.obs) from None
-    result = recover_order(obs, model, cfg.inversion_config())
+    result = recover_order(obs, cfg.model, cfg.inversion)
     csvio.write_inversion_csv(os.path.join(cfg.out_dir, "inversion.csv"), result)
     csvio.write_residual_history_csv(
         os.path.join(cfg.out_dir, "residual_history.csv"), result.residual_history
@@ -70,7 +69,7 @@ def run_diagnose(cfg: RunConfig, args):
     # both rules hold for the config alone, so check them before solving
     if cfg.mesh_M < MIN_MESH_M:
         raise ConfigError(f"mesh.M must be >= {MIN_MESH_M} to diagnose, got {cfg.mesh_M}")
-    mesh, spec, window = cfg.time_mesh(), cfg.model_spec(), (cfg.diag_fit_lo, cfg.diag_fit_hi)
+    mesh, spec, window = cfg.mesh, cfg.model, (cfg.diag_fit_lo, cfg.diag_fit_hi)
     i, fitted = _mode_fit_window(basis := spec.basis(cfg.basis_N), spec.u0_coefficients(basis), window)
     inside = np.count_nonzero(fit_window_mask(mesh.nodes[1:-1], fitted))
     if inside < MIN_FIT_SAMPLES:
@@ -86,9 +85,8 @@ def run_diagnose(cfg: RunConfig, args):
 
 
 def run_scan(cfg: RunConfig, args):
-    model = cfg.model_spec()  # one u0 read serves the synthesis and the scan
     grid = [(c0,) for c0 in cfg.scan_c0_grid]
-    scan = uniqueness_scan(_synthesize(cfg, model), model, grid, cfg.inversion_config())
+    scan = uniqueness_scan(_synthesize(cfg), cfg.model, grid, cfg.inversion)
     csvio.write_scan_csv(os.path.join(cfg.out_dir, "scan.csv"), scan)
 
 

@@ -25,9 +25,11 @@ U0_GRID_RTOL = 1e-9
 
 
 def _parse_float_list(s):
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in s.split(",")]
+    if not any(parts):
         raise ValueError("empty list")
+    if not all(parts):  # "0.3,,0.2" is no list of two values
+        raise ValueError(f"empty element in {s!r}")
     return tuple(float(p) for p in parts)
 
 
@@ -42,6 +44,10 @@ def _key(key, parse, default=MISSING):
 
 @dataclass(kw_only=True)
 class RunConfig:
+    """The keys of one run, and the objects loading builds from them once:
+    ``model`` (its order and u0 included), ``mesh`` and ``inversion``.
+    The ``--seed`` and ``--out`` overrides touch none of these objects."""
+
     # None defaults are resolved at load.
     K: float = _key("model.K", float)
     L: float = _key("model.L", float)
@@ -141,11 +147,16 @@ class RunConfig:
             self.scan_c0_grid = tuple(np.linspace(min(0.10, hi), hi, 17).tolist())
 
     def _validate(self, path):
+        """Check the keys by building the run's objects from them, each once."""
         try:
-            ModelSpec(self.K, self.L, self.T, self.k_coeffs, self.order_function(), u0=None)
-            self.time_mesh()
-            SpectralBasis(self.K, self.L, self.basis_N)
-            self.inversion_config()
+            _count(self.basis_N, "basis.N")
+            alpha = OrderFunction(self.alpha_coeffs, self.alpha_star, self.T)
+            self.model = ModelSpec(self.K, self.L, self.T, self.k_coeffs, alpha, self._u0(path))
+            self.mesh = TimeMesh(self.T, self.mesh_M, self.mesh_r)
+            self.inversion = InversionConfig(
+                degree=self.inv_degree, max_iter=self.inv_max_iter,
+                gn_tolerance=self.inv_gn_tolerance, tikhonov=self.inv_tikhonov,
+                alpha_star=self.alpha_star, n_modes=self.basis_N, init_coeffs=self.inv_init)
             _count(self.obs_x_count, "observation.x_count")
             _real(self.diag_gamma, "diagnostics.gamma")
             _count(self.out_x_count, "output.x_count")
@@ -167,62 +178,31 @@ class RunConfig:
         ):
             if not ok:
                 raise ConfigError(f"{key} must be {rule}", path)
-        if not self.u0.startswith("file:"):  # a file is read and checked once, on use
-            try:
-                self.u0_profile()
-            except ValueError as exc:
-                raise ConfigError(f"bad u0 profile {self.u0!r}: {exc}", path) from None
 
-    # -- domain objects ----------------------------------------------
-
-    def order_function(self) -> OrderFunction:
-        return OrderFunction(self.alpha_coeffs, self.alpha_star, self.T)
-
-    def time_mesh(self) -> TimeMesh:
-        return TimeMesh(self.T, self.mesh_M, self.mesh_r)
-
-    def u0_profile(self):
+    def _u0(self, path):
+        """The u0 profile: a callable of x, or the samples of a ``file:`` CSV."""
         if self.u0 == "parabola":
             L = self.L
             return lambda x: np.asarray(x) * (L - np.asarray(x))
-        if self.u0.startswith("mode"):
-            i = int(self.u0[4:])
-            if not 1 <= i <= self.basis_N:
-                raise DomainError(f"mode index {i} outside 1..{self.basis_N}")
-            basis = SpectralBasis(self.K, self.L, self.basis_N)
-            return lambda x: basis.design_matrix(x)[:, i - 1]
+        basis = SpectralBasis(self.K, self.L, self.basis_N)
         if self.u0.startswith("file:"):
-            return self._u0_samples(self.u0[5:])
-        raise DomainError("use 'parabola', 'mode<i>' or 'file:PATH'")
+            return self._u0_samples(self.u0[5:], basis)
+        try:
+            if not self.u0.startswith("mode"):
+                raise DomainError("use 'parabola', 'mode<i>' or 'file:PATH'")
+            if not 1 <= (i := int(self.u0[4:])) <= self.basis_N:
+                raise DomainError(f"mode index {i} outside 1..{self.basis_N}")
+        except ValueError as exc:
+            raise ConfigError(f"bad u0 profile {self.u0!r}: {exc}", path) from None
+        return lambda x: basis.design_matrix(x)[:, i - 1]
 
-    def _u0_samples(self, fname):
+    def _u0_samples(self, fname, basis):
         """u0 from an ``x,u0`` CSV file on the uniform grid over [0, L]."""
         try:
             x, u = _read_table(fname)[0].T
             if not np.abs(x - np.linspace(0.0, self.L, x.size)).max() <= U0_GRID_RTOL * self.L:
                 raise DomainError(f"x column is not linspace(0, {self.L}, {x.size})")
-            analyze(SpectralBasis(self.K, self.L, self.basis_N), u)  # count, parity, boundary
+            analyze(basis, u)  # count, parity, boundary
         except ValueError as exc:
             raise ConfigError(f"bad u0 file: {exc}", fname) from None
         return u
-
-    def model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            K=self.K,
-            L=self.L,
-            T=self.T,
-            k_coeffs=self.k_coeffs,
-            alpha=self.order_function(),
-            u0=self.u0_profile(),
-        )
-
-    def inversion_config(self) -> InversionConfig:
-        return InversionConfig(
-            degree=self.inv_degree,
-            max_iter=self.inv_max_iter,
-            gn_tolerance=self.inv_gn_tolerance,
-            tikhonov=self.inv_tikhonov,
-            alpha_star=self.alpha_star,
-            n_modes=self.basis_N,
-            init_coeffs=self.inv_init,
-        )

@@ -93,7 +93,10 @@ def project_admissible(coeffs, T, alpha_star):
         if lo >= 0.0 and hi <= alpha_star:
             return c
         (P, Q), m = _bernstein_maps(c.size - 1), margin * (np.arange(c.size) > 0)  # b_0 exact
-        c = _in_s(P @ np.clip(Q @ _in_s(coeffs, T), m, alpha_star - m), T, back=True)
+        b = np.clip(Q @ _in_s(coeffs, T), m, alpha_star - m)
+        g = P @ (b - b[0])  # row 0 of P is e_0 and the others sum to 0 exactly,
+        g[0] += b[0]  # so a constant b maps back to exactly (b_0, 0, ..., 0)
+        c = _in_s(g, T, back=True)
     return c
 
 

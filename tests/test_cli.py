@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import filecmp
 import io
@@ -20,6 +21,8 @@ from helpers import OBSERVATION_EDITS, edit_observations
 from vordiff import cli, csvio
 from vordiff.cli import main
 from vordiff.config import RunConfig
+from vordiff.forward import ModelSpec
+from vordiff.fracops import OrderFunction, TimeMesh
 
 HEAT_CFG = """
 model.K = 1.0
@@ -423,7 +426,7 @@ class TestMalformedInput:
     def test_u0_file_profile(self, tmp_path):
         x = np.linspace(0.0, np.pi, 33)
         cfg, _ = self._u0_file(tmp_path, x)
-        assert np.array_equal(RunConfig.load(cfg).u0_profile(), x * (np.pi - x))
+        assert np.array_equal(RunConfig.load(cfg).model.u0, x * (np.pi - x))
         assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_u0_file_non_numeric_exit_2(self, tmp_path, capsys):
@@ -441,6 +444,23 @@ class TestMalformedInput:
         cfg, path = self._u0_file(tmp_path, x / 2, cells)
         assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_u0_file_missing_exit_2_before_output(self, tmp_path, capsys):
+        # the file is read when the config loads, before the output directory is made
+        text = TWIN_CFG.replace("model.u0 = parabola", f"model.u0 = file:{tmp_path / 'no.csv'}")
+        out = tmp_path / "o"
+        assert main(["forward", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert "no.csv" in capsys.readouterr().err and not out.exists()
+
+    def test_constant_start_clipped_at_tiny_horizon(self, tmp_path):
+        # inversion.init = 1.2 clips to the constant 0.95 at degree 6 on T = 1e-60
+        text = (TWIN_CFG.replace("model.T = 1.0", "model.T = 1e-60")
+                .replace("inversion.degree = 1", "inversion.degree = 6")
+                .replace("inversion.init = 0.5", "inversion.init = 1.2"))
+        cfg, out = write_cfg(tmp_path, text), str(tmp_path / "o")
+        assert main(["synth", "--config", cfg, "--out", out]) == 0
+        assert main(["invert", "--config", cfg, "--out", out,
+                     "--obs", str(tmp_path / "o" / "observations.csv")]) == 0
 
     def test_default_scan_grid_below_star(self, tmp_path):
         text = TWIN_CFG.replace("model.alpha_coeffs = 0.3, 0.2", "model.alpha_coeffs = 0.3")
@@ -590,6 +610,20 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     assert codes == [0, 0] and built.count("vordiff") == 1
     for name in ("solution.csv", "modes.csv", "stability.csv"):
         assert filecmp.cmp(tmp_path / "first" / name, tmp_path / "second" / name, shallow=False)
+
+
+@pytest.mark.parametrize("command", ["forward", "diagnose"])
+def test_run_objects_built_once(tmp_path, monkeypatch, command):
+    # loading builds the order, the mesh and the model; the command reuses them
+    built = collections.Counter()
+    for cls in (OrderFunction, TimeMesh, ModelSpec):
+        def counting_post_init(self, init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            init(self)
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+    cfg = write_cfg(tmp_path, TWIN_CFG.replace("mesh.M = 64", "mesh.M = 128"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert built == {"OrderFunction": 1, "TimeMesh": 1, "ModelSpec": 1}
 
 
 def test_module_entry_point_exit_codes(tmp_path):

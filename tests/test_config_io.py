@@ -154,7 +154,7 @@ class TestConfigParsing:
     def test_mode_profile(self):
         text = BASE.replace("model.u0 = parabola", "model.u0 = mode2")
         cfg = RunConfig.from_text(text)
-        u0 = cfg.u0_profile()
+        u0 = cfg.model.u0
         x = np.linspace(0, cfg.L, 7)
         assert np.allclose(u0(x), np.sqrt(2 / cfg.L) * np.sin(2 * x))
         dense = np.linspace(0, cfg.L, 1001)
@@ -182,15 +182,32 @@ class TestConfigParsing:
 
     def test_domain_objects(self):
         cfg = RunConfig.from_text(BASE)
-        assert isinstance(cfg.order_function(), OrderFunction)
-        assert isinstance(cfg.time_mesh(), TimeMesh)
-        assert isinstance(cfg.model_spec(), ModelSpec)
-        assert isinstance(cfg.inversion_config(), InversionConfig)
+        assert isinstance(cfg.model, ModelSpec)
+        assert isinstance(cfg.model.alpha, OrderFunction)
+        assert cfg.model.alpha.coeffs == (0.3, 0.2)
+        assert isinstance(cfg.mesh, TimeMesh) and cfg.mesh.M == 64
+        assert isinstance(cfg.inversion, InversionConfig) and cfg.inversion.n_modes == 4
 
     def test_empty_list_rejected(self):
         text = BASE.replace("model.k_coeffs = 1.0", "model.k_coeffs = ,")
         with pytest.raises(ConfigError, match="bad value for 'model.k_coeffs': empty list"):
             RunConfig.from_text(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "model.alpha_coeffs = 0.3,,0.2",  # a typo for 0.3, 0, 0.2
+            "model.k_coeffs = 1.0,",
+            "inversion.init = , 0.5",
+            "scan.c0_grid = 0.3, , 0.5",
+        ],
+    )
+    def test_empty_list_element_rejected(self, line):
+        key = line.partition(" =")[0]
+        text = "\n".join(ln for ln in BASE.strip().splitlines() if not ln.startswith(key + " "))
+        lineno = text.count("\n") + 2
+        with pytest.raises(ConfigError, match=rf":{lineno}: bad value for '{key}': empty element"):
+            RunConfig.from_text(text + "\n" + line + "\n")
 
 
 class TestReadme:

@@ -170,6 +170,15 @@ class TestProjectAdmissible:
         assert projected[0] == 0.6
         assert 0.0 <= order_range(projected, 1.0)[0] <= 1e-13
 
+    @pytest.mark.parametrize("degree", range(7))
+    @pytest.mark.parametrize("c0, clipped", [(1.2, 0.95), (-0.3, 0.0)])
+    @pytest.mark.parametrize("T", [1.0, 1e-60])
+    def test_constant_clips_to_an_exact_constant(self, degree, c0, clipped, T):
+        # any rounding left in the higher coefficients of a clipped constant
+        # overflows once divided by T^q at a small horizon
+        projected = project_admissible((c0,) + (0.0,) * degree, T, 0.95)
+        assert projected.tolist() == [clipped] + [0.0] * degree
+
     @given(
         coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7),
         T=st.floats(0.1, 10.0),
