@@ -199,7 +199,7 @@ class RunConfig:
     def _u0_samples(self, fname, basis):
         """u0 from an ``x,u0`` CSV file on the uniform grid over [0, L]."""
         try:
-            x, u = _read_table(fname)[0].T
+            x, u = _read_table(fname, "x,u0")[0].T
             if not np.abs(x - np.linspace(0.0, self.L, x.size)).max() <= U0_GRID_RTOL * self.L:
                 raise DomainError(f"x column is not linspace(0, {self.L}, {x.size})")
             analyze(basis, u)  # count, parity, boundary

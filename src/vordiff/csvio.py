@@ -1,9 +1,10 @@
-"""CSV emission and ingestion for every artifact the CLI produces.
+"""CSV emission for every artifact the CLI produces, and ingestion of its inputs.
 
 Every file is ``# key = value`` comment lines, a header line, then data
-rows; _write_table and _read_table are the format's two halves.  Floats
-are written with repr, the shortest decimal that round-trips to the same
-double, so write -> read is lossless.  Files use LF newlines
+rows.  _write_table writes every artifact; the reading half, _read_table,
+serves only the two inputs, ``observations.csv`` and a ``file:`` u0.
+Floats are written with repr, the shortest decimal that round-trips to
+the same double, so write -> read is lossless.  Files use LF newlines
 unconditionally, making repeated runs byte-comparable.
 """
 
@@ -29,12 +30,13 @@ def _write_table(path, header, rows, comments=()):
             fh.write("\n".join(rows) + "\n")
 
 
-def _read_table(path, dtype=float):
+def _read_table(path, header):
     """Rows and ``# key = value`` comments of one CSV file.
 
-    The file needs a header line and at least one data row; the rows are
-    parsed at once by np.loadtxt into a 2-D array with one column per
-    header field.  A malformed file raises ValueError.
+    The file needs the header line, whose names stripped of spaces are
+    those of header, and at least one data row; the rows are parsed at
+    once by np.loadtxt into a 2-D array with one column per header field.
+    A malformed file raises ValueError.
     """
     comments = {}
     lines = []
@@ -48,8 +50,10 @@ def _read_table(path, dtype=float):
                 lines.append(line)
     if len(lines) < 2:
         raise DomainError("file needs a header line and at least one data row")
-    data = np.loadtxt(lines[1:], delimiter=",", dtype=dtype, ndmin=2)
-    if data.shape[1] != lines[0].count(",") + 1:
+    if [name.strip() for name in lines[0].split(",")] != header.split(","):
+        raise DomainError(f"header {lines[0]!r} is not {header!r}")
+    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    if data.shape[1] != header.count(",") + 1:
         raise DomainError(f"rows do not match the header {lines[0]!r}")
     return data, comments
 
@@ -67,27 +71,14 @@ def write_solution_csv(path, field, x_points):
     _write_table(path, "t,x,u", rows)
 
 
-def read_solution_csv(path):
-    return tuple(_read_table(path)[0].T)
-
-
 def write_modes_csv(path, field):
     ts = zip(map(fmt, field.mesh.nodes), field.values.T)
     rows = [f"{tn},{i},{u!r}" for tn, col in ts for i, u in enumerate(col.tolist(), 1)]
     _write_table(path, "t,i,u_i", rows)
 
 
-def read_modes_csv(path):
-    t, i, u = _read_table(path)[0].T
-    return t, i.astype(int), u
-
-
 def write_stability_csv(path, gamma, ratio):
     _write_table(path, "gamma,ratio", [f"{fmt(gamma)},{fmt(ratio)}"])
-
-
-def read_stability_csv(path):
-    return tuple(_read_table(path)[0][0].tolist())
 
 
 # -- observations ------------------------------------------------------
@@ -122,7 +113,7 @@ def read_observations_csv(path) -> ObservationSet:
     """Rows may come in any order; x and t points are returned sorted.
     A missing or malformed window, seed, noise_level, or synthesis_M or
     synthesis_r beside the other, raises DomainError naming it."""
-    data, comments = _read_table(path)
+    data, comments = _read_table(path, "x,t,value")
     xs, xi = np.unique(data[:, 0], return_inverse=True)
     ts, ti = np.unique(data[:, 1], return_inverse=True)
     cells = xs.size * ts.size
@@ -162,20 +153,8 @@ def write_inversion_csv(path, result: InversionResult):
     _write_table(path, "coeff_index,value", rows, comments)
 
 
-def read_inversion_csv(path):
-    data, comments = _read_table(path)
-    order = np.argsort(data[:, 0])
-    if not np.array_equal(data[order, 0], np.arange(len(data))):
-        raise DomainError("coeff_index must list 0, 1, ..., n-1 exactly once")
-    return tuple(data[order, 1].tolist()), comments
-
-
 def write_residual_history_csv(path, history):
     _write_table(path, "iter,residual_norm", [f"{i},{fmt(v)}" for i, v in enumerate(history)])
-
-
-def read_residual_history_csv(path):
-    return _read_table(path)[0][:, 1].tolist()
 
 
 def write_scan_csv(path, scan: ScanResult):
@@ -188,11 +167,6 @@ def write_scan_csv(path, scan: ScanResult):
     _write_table(path, header, [f"{i},{','.join(map(fmt, c))},{fmt(m)}" for i, (c, m) in pairs])
 
 
-def read_scan_csv(path):
-    data = _read_table(path)[0]
-    return [tuple(c) for c in data[:, 1:-1].tolist()], data[:, -1].tolist()
-
-
 # -- diagnostics ---------------------------------------------------------
 
 
@@ -200,14 +174,3 @@ def write_regularity_csv(path, report: RegularityReport):
     cells = (report.alpha0, report.fitted_slope, report.expected_slope, report.weighted_norm)
     row = f"{','.join(map(fmt, cells))},{report.verdict}"
     _write_table(path, "alpha0,fitted_slope,expected_slope,weighted_norm,verdict", [row])
-
-
-def read_regularity_csv(path):
-    r = _read_table(path, dtype=str)[0][0].tolist()
-    return {
-        "alpha0": float(r[0]),
-        "fitted_slope": float(r[1]),
-        "expected_slope": float(r[2]),
-        "weighted_norm": float(r[3]),
-        "verdict": r[4],
-    }

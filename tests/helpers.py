@@ -9,7 +9,7 @@ manufacturing its forcing.  The reference_* functions are the plain forms
 of optimized product routines, kept to compare against; they share with
 the product only its kernel rule and scalar special functions.
 edit_observations writes the defective observation files that the input
-checks must reject.
+checks must reject, and read_artifact reads back any CSV the CLI writes.
 """
 
 import math
@@ -153,3 +153,14 @@ def edit_observations(head, rows, edit):
             if c[1] == old:
                 c[1] = new
     return head + [",".join(c) for c in cells]
+
+
+def read_artifact(path, dtype=float):
+    """(header, comments, rows) of a CSV artifact: the header's names, the
+    ``# key = value`` comment lines as a dict of strings, and the rows as
+    np.loadtxt parses them, a 2-D array (dtype=str keeps a text column)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    comments = dict(ln[2:].split(" = ", 1) for ln in lines if ln.startswith("#"))
+    header, *rows = [ln for ln in lines if not ln.startswith("#")]
+    return header.split(","), comments, np.loadtxt(rows, delimiter=",", dtype=dtype, ndmin=2)

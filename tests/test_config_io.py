@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import OBSERVATION_EDITS, edit_observations
+from helpers import OBSERVATION_EDITS, edit_observations, read_artifact
 from vordiff import ConfigError, DomainError, csvio
 from vordiff.config import RunConfig
 from vordiff.diagnostics import RegularityReport
@@ -313,7 +313,7 @@ class TestCsvRoundTrips:
         path = tmp_path / "solution.csv"
         xs = np.linspace(0.0, np.pi, 5)
         csvio.write_solution_csv(path, field, xs)
-        t, x, u = csvio.read_solution_csv(path)
+        t, x, u = read_artifact(path)[2].T
         assert t.size == 17 * 5
         direct = field.basis.design_matrix(xs) @ field.values
         assert np.array_equal(u.reshape(17, 5), direct.T)
@@ -322,7 +322,7 @@ class TestCsvRoundTrips:
         field = _small_field()
         path = tmp_path / "modes.csv"
         csvio.write_modes_csv(path, field)
-        t, i, u = csvio.read_modes_csv(path)
+        t, i, u = read_artifact(path)[2].T
         assert np.array_equal(u.reshape(17, 3).T, field.values)
         assert set(i.tolist()) == {1, 2, 3}
 
@@ -353,7 +353,7 @@ class TestCsvRoundTrips:
     def test_stability(self, tmp_path):
         path = tmp_path / "stability.csv"
         csvio.write_stability_csv(path, 1.5, 0.987654321012345678)
-        gamma, ratio = csvio.read_stability_csv(path)
+        gamma, ratio = read_artifact(path)[2][0]
         assert gamma == 1.5 and ratio == 0.987654321012345678
 
     def test_observations(self, tmp_path):
@@ -384,6 +384,24 @@ class TestCsvRoundTrips:
         assert np.array_equal(back.x_points, canonical.x_points)
         assert np.array_equal(back.t_points, canonical.t_points)
         assert np.array_equal(back.values, canonical.values)
+
+    @pytest.mark.parametrize("header", ["t,x,value", "x,t", "x,t,u", "x,t,value,extra"])
+    def test_observations_header_names_checked(self, tmp_path, header):
+        # t,x,value with the first two columns swapped would read the axes swapped
+        head, rows = self._observation_lines(tmp_path)
+        if header == "t,x,value":
+            rows = [f"{t},{x},{v}" for x, t, v in (row.split(",") for row in rows)]
+        path = tmp_path / "broken.csv"
+        path.write_text("\n".join(head[:-1] + [header] + rows) + "\n")
+        with pytest.raises(DomainError, match=re.escape(f"header {header!r} is not 'x,t,value'")):
+            csvio.read_observations_csv(path)
+
+    def test_observations_header_spaces_ignored(self, tmp_path):
+        head, rows = self._observation_lines(tmp_path)
+        path = tmp_path / "spaced.csv"
+        path.write_text("\n".join(head[:-1] + [" x , t,value "] + rows) + "\n")
+        back = csvio.read_observations_csv(path)
+        assert np.array_equal(back.values, _small_observations().values)
 
     @pytest.mark.parametrize("edit", ["missing", "repeated", "header_only", "duplicated"])
     def test_observations_incomplete_grid_rejected(self, tmp_path, edit):
@@ -456,19 +474,13 @@ class TestCsvRoundTrips:
         )
         path = tmp_path / "inversion.csv"
         csvio.write_inversion_csv(path, res)
-        coeffs, meta = csvio.read_inversion_csv(path)
-        assert coeffs == res.coeffs
+        _, meta, rows = read_artifact(path)
+        assert rows[:, 0].tolist() == [0, 1]
+        assert tuple(rows[:, 1].tolist()) == res.coeffs
         assert meta["converged"] == "true"
         hist_path = tmp_path / "residual_history.csv"
         csvio.write_residual_history_csv(hist_path, res.residual_history)
-        assert csvio.read_residual_history_csv(hist_path) == res.residual_history
-
-    @pytest.mark.parametrize("rows", ["1,0.2\n1,0.3\n", "0,0.2\n2,0.3\n"])
-    def test_inversion_indices_each_once(self, tmp_path, rows):
-        path = tmp_path / "inversion.csv"
-        path.write_text("coeff_index,value\n" + rows)
-        with pytest.raises(ValueError, match="coeff_index"):
-            csvio.read_inversion_csv(path)
+        assert read_artifact(hist_path)[2][:, 1].tolist() == res.residual_history
 
     def test_scan(self, tmp_path):
         scan = ScanResult(
@@ -477,9 +489,9 @@ class TestCsvRoundTrips:
         )
         path = tmp_path / "scan.csv"
         csvio.write_scan_csv(path, scan)
-        cands, misfits = csvio.read_scan_csv(path)
-        assert cands == scan.candidates
-        assert misfits == scan.misfits
+        rows = read_artifact(path)[2]
+        assert [tuple(c) for c in rows[:, 1:-1].tolist()] == scan.candidates
+        assert rows[:, -1].tolist() == scan.misfits
 
     def test_regularity(self, tmp_path):
         rep = RegularityReport(
@@ -490,9 +502,10 @@ class TestCsvRoundTrips:
         )
         path = tmp_path / "regularity.csv"
         csvio.write_regularity_csv(path, rep)
-        row = csvio.read_regularity_csv(path)
-        assert row["alpha0"] == 0.5
-        assert row["fitted_slope"] == -0.497
+        header, _, rows = read_artifact(path, dtype=str)
+        row = dict(zip(header, rows[0]))
+        assert float(row["alpha0"]) == 0.5
+        assert float(row["fitted_slope"]) == -0.497
         assert row["verdict"] == "singular"
 
     def test_float_formatting_shortest_roundtrip(self, tmp_path):
@@ -504,7 +517,7 @@ class TestCsvRoundTrips:
         path = tmp_path / "wide.csv"
         path.write_text("a,b\n1,2,3\n", encoding="utf-8")
         with pytest.raises(DomainError, match="rows do not match the header 'a,b'"):
-            csvio._read_table(path)
+            csvio._read_table(path, "a,b")
 
     def test_scan_candidates_of_mixed_widths_rejected(self, tmp_path):
         scan = ScanResult(candidates=[(0.3,), (0.3, 0.1)], misfits=[1.0, 2.0])
